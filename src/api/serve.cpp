@@ -63,6 +63,12 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
+std::string latency_summary(const LogLinearHistogram& h) {
+  return strformat("count=%llu p50=%u p90=%u p99=%u max=%u",
+                   static_cast<unsigned long long>(h.count()), h.quantile(0.50),
+                   h.quantile(0.90), h.quantile(0.99), h.max());
+}
+
 void ServerOptions::normalize() {
   if (workers < 1) workers = 1;          // 0 workers would hang admission forever
   if (max_queue < 0) max_queue = 0;
@@ -482,9 +488,11 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
       break;
   }
 
-  const core::ProfileStore::Stats before = store().stats();
   Response resp;
   if (!spec.artifact.empty()) {
+    // Artifacts run through the bench engine, outside this request's
+    // Session, so their line is the delta over the whole shared store.
+    const core::ProfileStore::Stats before = store().stats();
     if (!opts_.artifact_runner) {
       specs_failed_.fetch_add(1, std::memory_order_relaxed);
       resp = {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request",
@@ -520,9 +528,11 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
     SessionOptions req = opts_.session;
     req.wall_deadline = deadline;
     Session session(req, &store());
-    const Result r = session.run(spec);
-    const std::string delta = core::ProfileStore::stats_line(
-        core::ProfileStore::Stats::delta(store().stats(), before));
+    // Only this request's own lookups: a concurrent cold request's
+    // simulations never show up in a warm reply.
+    core::ProfileStore::Stats own;
+    const Result r = session.run(spec, &own);
+    const std::string delta = core::ProfileStore::stats_line(own);
     if (r.ok()) {
       specs_ok_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -546,7 +556,7 @@ void Server::record_latency(Clock::time_point start) {
       us < 0 ? 0u
              : (us > 0xffffffffLL ? 0xffffffffu : static_cast<std::uint32_t>(us));
   std::lock_guard<std::mutex> lk(latency_mu_);
-  if (latency_us_.size() < 65536) latency_us_.push_back(v);
+  latency_us_.record(v);
 }
 
 Server::Stats Server::stats() const {
@@ -582,20 +592,12 @@ std::string Server::stats_text() const {
   if (FaultInjector::global().enabled()) {
     out += "[ppd] faults: " + FaultInjector::global().stats_line() + "\n";
   }
-  std::vector<std::uint32_t> lat;
+  LogLinearHistogram lat;
   {
     std::lock_guard<std::mutex> lk(latency_mu_);
     lat = latency_us_;
   }
-  std::sort(lat.begin(), lat.end());
-  const auto pct = [&](double p) -> unsigned long long {
-    if (lat.empty()) return 0;
-    const auto i = static_cast<std::size_t>(p * static_cast<double>(lat.size() - 1) + 0.5);
-    return lat[i];
-  };
-  out += strformat("[ppd] latency_us: count=%zu p50=%llu p90=%llu p99=%llu max=%llu\n",
-                   lat.size(), pct(0.50), pct(0.90), pct(0.99),
-                   lat.empty() ? 0ULL : static_cast<unsigned long long>(lat.back()));
+  out += "[ppd] latency_us: " + latency_summary(lat) + "\n";
   return out;
 }
 

@@ -41,6 +41,7 @@
 
 #include "api/frame.hpp"
 #include "api/session.hpp"
+#include "base/histogram.hpp"
 
 namespace pp::api {
 
@@ -99,6 +100,10 @@ struct ServerOptions {
                     std::string& captured_stdout)>
       artifact_runner;
 };
+
+/// "count=N p50=N p90=N p99=N max=N" over a latency histogram (µs): the
+/// tail of the `[ppd] latency_us:` stat line.
+[[nodiscard]] std::string latency_summary(const LogLinearHistogram& h);
 
 class Server {
  public:
@@ -211,7 +216,7 @@ class Server {
   std::atomic<std::uint64_t> deadline_refused_{0};
 
   mutable std::mutex latency_mu_;
-  std::vector<std::uint32_t> latency_us_;  // capped service-time samples
+  LogLinearHistogram latency_us_;  // service time of every run request
 };
 
 }  // namespace pp::api

@@ -1,12 +1,14 @@
 #include "api/session.hpp"
 
+#include <functional>
+#include <iterator>
+#include <span>
 #include <unordered_map>
 
 #include "api/json.hpp"
 #include "base/check.hpp"
 #include "base/strings.hpp"
 #include "base/table.hpp"
-#include "core/parallel.hpp"
 
 namespace pp::api {
 
@@ -54,132 +56,196 @@ Session::Stats Session::stats() const {
   return s;
 }
 
-Result Session::run(const ExperimentSpec& spec) {
-  specs_run_.fetch_add(1, std::memory_order_relaxed);
+namespace {
 
-  const SessionOptions eff = apply_spec(spec, opts_);
+using Runs = std::vector<std::shared_ptr<const core::ScenarioResult>>;
+
+/// One spec's plan: its scenarios plus how to aggregate their results into
+/// the Result's data sections. `head` carries the identity fields, and the
+/// error when planning itself failed (then there is nothing to run).
+struct SpecPlan {
+  Result head;
+  std::unique_ptr<ViewStack> views;  // the views the assembler aggregates with
+  std::vector<core::Scenario> scenarios;
+  std::function<void(Result&, const Runs&)> assemble;
+};
+
+/// Every failure path funnels here: data sections are cleared so an error
+/// Result is never half-filled, and the error is structured, not an abort.
+void fail(Result& res, StatusKind kind, std::string site, std::string detail) {
+  res.flows.clear();
+  res.sweeps.clear();
+  res.study.reset();
+  res.error = Error{kind, std::move(site), std::move(detail)};
+}
+
+/// Run `body`, turning what it throws into a structured error on `res`.
+template <typename Fn>
+void guarded(Result& res, Fn&& body) {
+  try {
+    body();
+  } catch (const StatusError& e) {
+    fail(res, e.status().kind, e.status().site, e.status().detail);
+  } catch (const std::exception& e) {
+    fail(res, StatusKind::kInternal, "session.run", e.what());
+  }
+}
+
+[[nodiscard]] SpecPlan plan_spec(const ExperimentSpec& spec, const SessionOptions& opts,
+                                 core::ProfileStore& store) {
+  const SessionOptions eff = apply_spec(spec, opts);
   const int seeds = spec.seeds > 0 ? spec.seeds : default_seeds(eff.scale);
 
-  Result res;
+  SpecPlan p;
+  Result& res = p.head;
   res.kind = spec.kind;
   res.name = spec.name;
   res.scale = eff.scale;
   res.fidelity = eff.fidelity;
   res.seeds = seeds;
 
-  // Every failure path funnels here: data sections are cleared so an error
-  // Result is never half-filled, and the error is structured, not an abort.
-  const auto fail = [&](StatusKind kind, std::string site, std::string detail) -> Result& {
-    res.flows.clear();
-    res.sweeps.clear();
-    res.study.reset();
-    res.error = Error{kind, std::move(site), std::move(detail)};
-    specs_failed_.fetch_add(1, std::memory_order_relaxed);
-    return res;
-  };
-
   // Parse normally rejects these; guard against hand-built specs without
   // taking the process down (this used to be a PP_CHECK abort).
   if (!spec.artifact.empty()) {
-    return fail(StatusKind::kInvalidSpec, "session.run",
-                "artifact specs render canned figure output; execute them with ppctl");
+    fail(res, StatusKind::kInvalidSpec, "session.run",
+         "artifact specs render canned figure output; execute them with ppctl");
+    return p;
   }
   if (spec.flows.empty()) {
-    return fail(StatusKind::kInvalidSpec, "session.run", "spec has no flows");
+    fail(res, StatusKind::kInvalidSpec, "session.run", "spec has no flows");
+    return p;
   }
 
-  try {
-    ViewStack v(eff, spec.seeds, *store_);
-
-    // Seed-averaged solo baseline of one flow, fanned over the *session's*
-    // thread budget (SoloProfiler::profile_spec would use the environment's).
-    const auto solo_baseline = [&](const core::FlowSpec& f) {
-      return core::SoloProfiler::merge_plan(
-          store_->get_or_run_many(v.solo.plan(f), eff.threads));
-    };
-
+  guarded(res, [&] {
+    p.views = std::make_unique<ViewStack>(eff, spec.seeds, store);
+    const ViewStack& v = *p.views;
+    const std::vector<core::FlowSpec>& flows = spec.flows;
+    const auto n_seeds = static_cast<std::size_t>(seeds);
     switch (spec.kind) {
       case ExperimentKind::kSolo: {
-        const std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
-        const auto runs = store_->get_or_run_many(plan, eff.threads);
-        for (std::size_t i = 0; i < spec.flows.size(); ++i) {
-          const std::vector<std::shared_ptr<const core::ScenarioResult>> slice(
-              runs.begin() + static_cast<std::ptrdiff_t>(i * static_cast<std::size_t>(seeds)),
-              runs.begin() +
-                  static_cast<std::ptrdiff_t>((i + 1) * static_cast<std::size_t>(seeds)));
-          FlowReport fr;
-          fr.spec = spec.flows[i];
-          fr.metrics = core::SoloProfiler::merge_plan(slice);
-          fr.solo_pps = fr.metrics.pps();
-          res.flows.push_back(std::move(fr));
-        }
+        p.scenarios = lower_spec(spec, v.tb);
+        p.assemble = [flows, n_seeds](Result& r, const Runs& runs) {
+          for (std::size_t i = 0; i < flows.size(); ++i) {
+            FlowReport fr;
+            fr.spec = flows[i];
+            fr.metrics = core::SoloProfiler::merge_plan(
+                {runs.begin() + static_cast<std::ptrdiff_t>(i * n_seeds),
+                 runs.begin() + static_cast<std::ptrdiff_t>((i + 1) * n_seeds)});
+            fr.solo_pps = fr.metrics.pps();
+            r.flows.push_back(std::move(fr));
+          }
+        };
         break;
       }
       case ExperimentKind::kCorun: {
-        const std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
-        const auto runs = store_->get_or_run_many(plan, eff.threads);
-        for (std::size_t i = 0; i < spec.flows.size(); ++i) {
-          std::vector<core::FlowMetrics> per_seed;
-          per_seed.reserve(runs.size());
-          for (const auto& r : runs) per_seed.push_back((*r)[i]);
-          FlowReport fr;
-          fr.spec = spec.flows[i];
-          fr.metrics = core::merge_metrics(per_seed);
-          const core::FlowMetrics solo = solo_baseline(spec.flows[i]);
-          fr.solo_pps = solo.pps();
-          fr.drop_pct = core::drop_pct(solo, fr.metrics);
-          res.flows.push_back(std::move(fr));
+        // The mix's seed runs, then every flow's solo baseline — one plan,
+        // so the baselines no longer chain after the co-run.
+        p.scenarios = lower_spec(spec, v.tb);
+        const std::size_t mix_runs = p.scenarios.size();
+        for (const core::FlowSpec& f : flows) {
+          std::vector<core::Scenario> solo = v.solo.plan(f);
+          p.scenarios.insert(p.scenarios.end(), std::make_move_iterator(solo.begin()),
+                             std::make_move_iterator(solo.end()));
         }
+        p.assemble = [flows, n_seeds, mix_runs](Result& r, const Runs& runs) {
+          for (std::size_t i = 0; i < flows.size(); ++i) {
+            std::vector<core::FlowMetrics> per_seed;
+            per_seed.reserve(mix_runs);
+            for (std::size_t s = 0; s < mix_runs; ++s) per_seed.push_back((*runs[s])[i]);
+            const std::size_t base = mix_runs + i * n_seeds;
+            const core::FlowMetrics solo = core::SoloProfiler::merge_plan(
+                {runs.begin() + static_cast<std::ptrdiff_t>(base),
+                 runs.begin() + static_cast<std::ptrdiff_t>(base + n_seeds)});
+            FlowReport fr;
+            fr.spec = flows[i];
+            fr.metrics = core::merge_metrics(per_seed);
+            fr.solo_pps = solo.pps();
+            fr.drop_pct = core::drop_pct(solo, fr.metrics);
+            r.flows.push_back(std::move(fr));
+          }
+        };
         break;
       }
       case ExperimentKind::kSweep: {
-        res.sweeps = v.sweep.sweep_many(spec.flows, spec.mode,
-                                        core::SweepProfiler::default_levels(eff.scale));
+        const core::ContentionMode mode = spec.mode;
+        const auto levels = core::SweepProfiler::default_levels(eff.scale);
+        p.scenarios = v.sweep.plan_many(flows, mode, levels);
+        p.assemble = [&v, flows, mode, levels](Result& r, const Runs& runs) {
+          r.sweeps = v.sweep.assemble_many(flows, mode, levels, runs);
+        };
         break;
       }
       case ExperimentKind::kPredict: {
         // Section 4 verbatim, generalized to arbitrary FlowSpecs: solo
-        // profiles + normal-placement SYN sweeps for every flow (one store
-        // fan-out), then each flow's predicted drop is its curve read at the
-        // sum of its competitors' solo refs/sec.
-        const auto sweeps = v.sweep.sweep_many(spec.flows, core::ContentionMode::kBoth,
-                                               core::SweepProfiler::default_levels(eff.scale));
-        std::vector<core::FlowMetrics> solos;
-        solos.reserve(spec.flows.size());
-        for (const core::FlowSpec& f : spec.flows) solos.push_back(solo_baseline(f));
-        for (std::size_t i = 0; i < spec.flows.size(); ++i) {
-          double competing_refs = 0;
-          for (std::size_t j = 0; j < spec.flows.size(); ++j) {
-            if (j != i) competing_refs += solos[j].refs_per_sec();
+        // profiles + normal-placement SYN sweeps for every flow (the sweep
+        // plan carries each flow's solo baseline), then each flow's
+        // predicted drop is its curve read at the sum of its competitors'
+        // solo refs/sec.
+        const auto levels = core::SweepProfiler::default_levels(eff.scale);
+        p.scenarios = v.sweep.plan_many(flows, core::ContentionMode::kBoth, levels);
+        p.assemble = [&v, flows, levels](Result& r, const Runs& runs) {
+          const auto sweeps =
+              v.sweep.assemble_many(flows, core::ContentionMode::kBoth, levels, runs);
+          std::vector<core::FlowMetrics> solos;
+          solos.reserve(flows.size());
+          for (std::size_t i = 0; i < flows.size(); ++i) {
+            solos.push_back(v.sweep.solo_of(i, levels.size(), runs));
           }
-          FlowReport fr;
-          fr.spec = spec.flows[i];
-          fr.metrics = solos[i];
-          fr.solo_pps = solos[i].pps();
-          fr.drop_pct = sweeps[i].curve.drop_at(competing_refs);
-          res.flows.push_back(std::move(fr));
-        }
+          for (std::size_t i = 0; i < flows.size(); ++i) {
+            double competing_refs = 0;
+            for (std::size_t j = 0; j < flows.size(); ++j) {
+              if (j != i) competing_refs += solos[j].refs_per_sec();
+            }
+            FlowReport fr;
+            fr.spec = flows[i];
+            fr.metrics = solos[i];
+            fr.solo_pps = solos[i].pps();
+            fr.drop_pct = sweeps[i].curve.drop_at(competing_refs);
+            r.flows.push_back(std::move(fr));
+          }
+        };
         break;
       }
       case ExperimentKind::kPlacementSearch: {
-        res.study = v.placement.evaluate(spec.flows);
+        auto plan = std::make_shared<core::PlacementPlan>(v.placement.plan(flows));
+        p.scenarios = std::move(plan->scenarios);
+        p.assemble = [&v, flows, plan](Result& r, const Runs& runs) {
+          r.study = v.placement.assemble(flows, *plan, runs);
+        };
         break;
       }
     }
-  } catch (const StatusError& e) {
-    return fail(e.status().kind, e.status().site, e.status().detail);
-  } catch (const std::exception& e) {
-    return fail(StatusKind::kInternal, "session.run", e.what());
+  });
+  return p;
+}
+
+/// Fill `p`'s Result from its own slice of store outcomes: the lowest-index
+/// error in the slice fails the spec, otherwise the plan's assembler runs.
+[[nodiscard]] Result assemble(SpecPlan& p, std::span<const core::ProfileStore::Outcome> slice) {
+  Result res = std::move(p.head);
+  if (res.error.has_value()) return res;
+  guarded(res, [&] { p.assemble(res, core::ProfileStore::results_or_throw(slice)); });
+  return res;
+}
+
+}  // namespace
+
+Result Session::run(const ExperimentSpec& spec, core::ProfileStore::Stats* store_work) {
+  specs_run_.fetch_add(1, std::memory_order_relaxed);
+  SpecPlan p = plan_spec(spec, opts_, *store_);
+  std::vector<core::ProfileStore::Outcome> outcomes;
+  if (!p.head.error.has_value()) {
+    outcomes = store_->run_batch(p.scenarios, opts_.threads, store_work);
   }
+  Result res = assemble(p, outcomes);
+  if (!res.ok()) specs_failed_.fetch_add(1, std::memory_order_relaxed);
   return res;
 }
 
 std::vector<Result> Session::run_many(const std::vector<ExperimentSpec>& specs) {
   // Dedup on the canonical serialized form (equal specs <=> equal text):
-  // each distinct spec executes once; duplicates share its Result. The
-  // store's scenario-level single-flight already prevents duplicated
-  // simulation across *overlapping* specs — this also skips their
-  // re-aggregation.
+  // each distinct spec is planned and assembled once; duplicates share its
+  // Result.
   std::unordered_map<std::string, std::size_t> first;
   std::vector<std::size_t> unique_indices;
   std::vector<std::size_t> owner(specs.size());
@@ -194,9 +260,35 @@ std::vector<Result> Session::run_many(const std::vector<ExperimentSpec>& specs) 
     owner[i] = it->second;
   }
 
-  std::vector<Result> unique(unique_indices.size());
-  core::parallel_for(unique_indices.size(), opts_.threads,
-                     [&](std::size_t u) { unique[u] = run(specs[unique_indices[u]]); });
+  // Plan every unique spec and concatenate the plans: spec u owns slots
+  // [offset[u], offset[u + 1]) of the union. The store runs the union once
+  // over one pool of opts_.threads workers, collapsing keys planned by
+  // several specs (each slot keeps its own outcome, so guards stay
+  // per-spec) — no pool nests inside another.
+  std::vector<SpecPlan> plans;
+  plans.reserve(unique_indices.size());
+  std::vector<core::Scenario> all;
+  std::vector<std::size_t> offset{0};
+  for (const std::size_t i : unique_indices) {
+    specs_run_.fetch_add(1, std::memory_order_relaxed);
+    plans.push_back(plan_spec(specs[i], opts_, *store_));
+    std::vector<core::Scenario>& own = plans.back().scenarios;
+    all.insert(all.end(), std::make_move_iterator(own.begin()),
+               std::make_move_iterator(own.end()));
+    own.clear();
+    offset.push_back(all.size());
+  }
+  const std::vector<core::ProfileStore::Outcome> outcomes =
+      store_->run_batch(all, opts_.threads);
+  all.clear();
+
+  std::vector<Result> unique;
+  unique.reserve(plans.size());
+  for (std::size_t u = 0; u < plans.size(); ++u) {
+    unique.push_back(assemble(
+        plans[u], std::span(outcomes).subspan(offset[u], offset[u + 1] - offset[u])));
+    if (!unique.back().ok()) specs_failed_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   std::vector<Result> out;
   out.reserve(specs.size());

@@ -10,11 +10,16 @@
 //   api::Result r = session.run(*spec);
 //   std::puts(r.to_json().c_str());
 //
-// run_many() fans independent specs over the host thread pool with
-// canonical-form dedup on top of the store's scenario-level single-flight,
+// Every spec kind is executed in two steps: a pure *plan* (its full
+// scenario list, known before any result exists) and an *assemble* step
+// that aggregates the results in plan order. run() is assemble over one
+// store request for the spec's whole plan; run_many() dedups identical
+// specs, plans every unique one, runs the union once over a single pool of
+// options().threads workers, and assembles each spec from its own slice —
 // so a batch of overlapping requests simulates each distinct machine state
-// exactly once. Results are bit-identical at any thread count (every
-// scenario run is a pure function; aggregation is in plan order).
+// exactly once with at most `threads` Machines alive. Results are
+// bit-identical at any thread count (every scenario run is a pure function;
+// aggregation is in plan order).
 #pragma once
 
 #include <atomic>
@@ -111,18 +116,25 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Execute one generic spec (artifact specs are a ppctl concern — they
-  /// render canned figure stdout rather than a structured Result). Safe to
-  /// call concurrently; every scenario is simulated at most once per store.
-  /// Never throws and never aborts on a bad spec or a failed run: failures
-  /// come back as Result::error with empty data sections.
-  [[nodiscard]] Result run(const ExperimentSpec& spec);
+  /// render canned figure stdout rather than a structured Result): its whole
+  /// plan goes to the store in one request over options().threads workers.
+  /// Safe to call concurrently; every scenario is simulated at most once per
+  /// store. Never throws and never aborts on a bad spec or a failed run:
+  /// failures come back as Result::error with empty data sections.
+  /// `store_work` (optional) receives the store counters of this call's own
+  /// lookups (ProfileStore::run_batch) — what ppd reports per request.
+  [[nodiscard]] Result run(const ExperimentSpec& spec,
+                           core::ProfileStore::Stats* store_work = nullptr);
 
-  /// Execute a batch: identical specs (by canonical JSON) run once, distinct
-  /// specs fan out over options().threads host threads. Results are in input
-  /// order and bit-identical to running the batch serially. Failures are
-  /// isolated per spec: one poisoned spec yields one Result::error while
-  /// every other spec's result is unaffected (bit-identical to running the
-  /// good specs alone).
+  /// Execute a batch: identical specs (by canonical JSON) run once; the
+  /// unique specs' plans run as one union over a single pool of exactly
+  /// options().threads workers (a key planned by several specs simulates
+  /// once), and each spec is assembled from its own slice. Results are in
+  /// input order and bit-identical to running the batch serially. Failures
+  /// are isolated per spec: a spec fails with the lowest-index error in its
+  /// own slice, and one poisoned spec yields one Result::error while every
+  /// other spec's result is unaffected (bit-identical to running the good
+  /// specs alone) — execution guards (budget, deadline) included.
   [[nodiscard]] std::vector<Result> run_many(const std::vector<ExperimentSpec>& specs);
 
   [[nodiscard]] core::ProfileStore& store() const { return *store_; }

@@ -29,16 +29,21 @@ Scenario PlacementEvaluator::placement_scenario(const std::vector<FlowSpec>& flo
 }
 
 PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) const {
+  const PlacementPlan p = plan(flows);
+  return assemble(flows, p, solo_.store().get_or_run_many(p.scenarios, threads_));
+}
+
+PlacementPlan PlacementEvaluator::plan(const std::vector<FlowSpec>& flows) const {
   Testbed& tb = solo_.testbed();
   const int cores = tb.machine_config().num_cores();
   const int per_socket = tb.machine_config().cores_per_socket;
   PP_CHECK(static_cast<int>(flows.size()) == cores);
   const int seeds = solo_.seeds();
+  PlacementPlan out;
 
   // Enumerate subsets of size per_socket for socket 0; canonicalize by the
   // (sorted) type multiset pair so symmetric placements run once.
   std::set<std::vector<int>> seen;
-  std::vector<std::vector<int>> placements;
   std::vector<int> pick(flows.size(), 0);
   std::fill(pick.begin(), pick.begin() + per_socket, 1);
   std::sort(pick.begin(), pick.end());
@@ -57,49 +62,51 @@ PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) 
 
     std::vector<int> socket_of_flow(flows.size());
     for (std::size_t i = 0; i < flows.size(); ++i) socket_of_flow[i] = pick[i] != 0 ? 0 : 1;
-    placements.push_back(std::move(socket_of_flow));
+    out.placements.push_back(std::move(socket_of_flow));
   } while (std::next_permutation(pick.begin(), pick.end()));
 
   // One flat job list: per-type solo baselines first, then every
   // (placement, seed) run. The store fans it out and single-flights any
-  // duplicates; aggregation below is strictly in enumeration order.
-  std::vector<FlowType> solo_types;
+  // duplicates; assemble() walks it strictly in enumeration order.
   for (const FlowSpec& f : flows) {
-    if (std::find(solo_types.begin(), solo_types.end(), f.type) == solo_types.end()) {
-      solo_types.push_back(f.type);
+    if (std::find(out.solo_types.begin(), out.solo_types.end(), f.type) ==
+        out.solo_types.end()) {
+      out.solo_types.push_back(f.type);
     }
   }
-  std::vector<Scenario> jobs;
-  jobs.reserve(solo_types.size() * static_cast<std::size_t>(seeds) +
-               placements.size() * static_cast<std::size_t>(seeds));
-  for (const FlowType t : solo_types) {
-    for (const Scenario& s : solo_.plan(FlowSpec::of(t))) jobs.push_back(s);
+  out.scenarios.reserve(out.solo_types.size() * static_cast<std::size_t>(seeds) +
+                        out.placements.size() * static_cast<std::size_t>(seeds));
+  for (const FlowType t : out.solo_types) {
+    for (const Scenario& s : solo_.plan(FlowSpec::of(t))) out.scenarios.push_back(s);
   }
-  const std::size_t grid_base = jobs.size();
-  for (const std::vector<int>& p : placements) {
-    for (int s = 0; s < seeds; ++s) jobs.push_back(placement_scenario(flows, p, s));
+  for (const std::vector<int>& p : out.placements) {
+    for (int s = 0; s < seeds; ++s) out.scenarios.push_back(placement_scenario(flows, p, s));
   }
+  return out;
+}
 
-  const auto runs = solo_.store().get_or_run_many(jobs, threads_);
-
+PlacementStudy PlacementEvaluator::assemble(
+    const std::vector<FlowSpec>& flows, const PlacementPlan& plan,
+    const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const {
+  const auto seeds = static_cast<std::size_t>(solo_.seeds());
+  PP_CHECK(runs.size() == (plan.solo_types.size() + plan.placements.size()) * seeds);
   std::vector<FlowMetrics> solo_of_type;
-  for (std::size_t t = 0; t < solo_types.size(); ++t) {
-    const std::vector<std::shared_ptr<const ScenarioResult>> slots(
-        runs.begin() + static_cast<std::ptrdiff_t>(t * static_cast<std::size_t>(seeds)),
-        runs.begin() + static_cast<std::ptrdiff_t>((t + 1) * static_cast<std::size_t>(seeds)));
-    solo_of_type.push_back(SoloProfiler::merge_plan(slots));
+  for (std::size_t t = 0; t < plan.solo_types.size(); ++t) {
+    solo_of_type.push_back(SoloProfiler::merge_plan(
+        {runs.begin() + static_cast<std::ptrdiff_t>(t * seeds),
+         runs.begin() + static_cast<std::ptrdiff_t>((t + 1) * seeds)}));
   }
   const auto solo_of = [&](FlowType t) -> const FlowMetrics& {
-    const auto it = std::find(solo_types.begin(), solo_types.end(), t);
-    return solo_of_type[static_cast<std::size_t>(it - solo_types.begin())];
+    const auto it = std::find(plan.solo_types.begin(), plan.solo_types.end(), t);
+    return solo_of_type[static_cast<std::size_t>(it - plan.solo_types.begin())];
   };
 
+  const std::size_t grid_base = plan.solo_types.size() * seeds;
   PlacementStudy study;
-  for (std::size_t p = 0; p < placements.size(); ++p) {
+  for (std::size_t p = 0; p < plan.placements.size(); ++p) {
     std::vector<FlowMetrics> pooled;
-    for (int s = 0; s < seeds; ++s) {
-      const ScenarioResult& run =
-          *runs[grid_base + p * static_cast<std::size_t>(seeds) + static_cast<std::size_t>(s)];
+    for (std::size_t s = 0; s < seeds; ++s) {
+      const ScenarioResult& run = *runs[grid_base + p * seeds + s];
       if (pooled.empty()) {
         pooled = run;
       } else {
@@ -111,7 +118,7 @@ PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) 
     }
 
     PlacementOutcome outcome;
-    outcome.socket_of_flow = placements[p];
+    outcome.socket_of_flow = plan.placements[p];
     double sum = 0;
     for (std::size_t i = 0; i < flows.size(); ++i) {
       const double d = drop_pct(solo_of(flows[i].type), pooled[i]);

@@ -30,14 +30,31 @@ struct PlacementStudy {
   int placements_evaluated = 0;
 };
 
+/// The scenario plan behind one study, known before any result exists.
+struct PlacementPlan {
+  std::vector<FlowType> solo_types;           // distinct types, first-appearance order
+  std::vector<std::vector<int>> placements;   // socket_of_flow per evaluated placement
+  std::vector<Scenario> scenarios;  // per-type solo plans, then (placement, seed) runs
+};
+
 class PlacementEvaluator {
  public:
   explicit PlacementEvaluator(SoloProfiler& solo, int threads = host_threads_from_env());
 
   /// `flows` must have exactly cores-many entries (12). Placements that are
   /// equivalent up to permuting flows of the same type within a socket (and
-  /// swapping the sockets) are evaluated once.
+  /// swapping the sockets) are evaluated once. Equivalent to
+  /// assemble(flows, plan(flows), one store request over plan.scenarios).
   [[nodiscard]] PlacementStudy evaluate(const std::vector<FlowSpec>& flows) const;
+
+  /// Enumerate the distinct placements and lay out their scenarios.
+  [[nodiscard]] PlacementPlan plan(const std::vector<FlowSpec>& flows) const;
+
+  /// Aggregate `runs` (parallel to plan.scenarios, which callers may have
+  /// moved out into a bigger store request) in enumeration order.
+  [[nodiscard]] PlacementStudy assemble(
+      const std::vector<FlowSpec>& flows, const PlacementPlan& plan,
+      const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const;
 
   void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
   [[nodiscard]] int threads() const { return threads_; }

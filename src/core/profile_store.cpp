@@ -1,5 +1,6 @@
 #include "core/profile_store.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -38,6 +39,7 @@ ProfileStore::Stats ProfileStore::stats() const {
   s.persist_errors = persist_errors_.load();
   s.ro_quarantine_warnings = ro_quarantine_warnings_.load();
   s.memory_only = memory_only_.load();
+  s.peak_running = peak_running_.load();
   return s;
 }
 
@@ -52,7 +54,22 @@ ProfileStore::Stats ProfileStore::Stats::delta(const Stats& now, const Stats& ba
   d.persist_errors = now.persist_errors - base.persist_errors;
   d.ro_quarantine_warnings = now.ro_quarantine_warnings - base.ro_quarantine_warnings;
   d.memory_only = now.memory_only;
+  d.peak_running = now.peak_running;
   return d;
+}
+
+ProfileStore::Stats& ProfileStore::Stats::operator+=(const Stats& o) {
+  simulated += o.simulated;
+  memory_hits += o.memory_hits;
+  disk_hits += o.disk_hits;
+  ro_hits += o.ro_hits;
+  coalesced += o.coalesced;
+  quarantined += o.quarantined;
+  persist_errors += o.persist_errors;
+  ro_quarantine_warnings += o.ro_quarantine_warnings;
+  memory_only = o.memory_only;
+  peak_running = o.peak_running;
+  return *this;
 }
 
 std::string ProfileStore::stats_line(const Stats& s) {
@@ -60,7 +77,7 @@ std::string ProfileStore::stats_line(const Stats& s) {
   // grep included) anchors on the "simulated=N " prefix.
   return strformat("simulated=%llu memory_hits=%llu disk_hits=%llu ro_hits=%llu "
                    "coalesced=%llu quarantined=%llu persist_errors=%llu memory_only=%d "
-                   "ro_quarantine_warnings=%llu",
+                   "ro_quarantine_warnings=%llu peak_running=%llu",
                    static_cast<unsigned long long>(s.simulated),
                    static_cast<unsigned long long>(s.memory_hits),
                    static_cast<unsigned long long>(s.disk_hits),
@@ -69,17 +86,45 @@ std::string ProfileStore::stats_line(const Stats& s) {
                    static_cast<unsigned long long>(s.quarantined),
                    static_cast<unsigned long long>(s.persist_errors),
                    s.memory_only ? 1 : 0,
-                   static_cast<unsigned long long>(s.ro_quarantine_warnings));
+                   static_cast<unsigned long long>(s.ro_quarantine_warnings),
+                   static_cast<unsigned long long>(s.peak_running));
 }
 
 std::string ProfileStore::stats_line() const { return stats_line(stats()); }
 
 std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run(const Scenario& s) {
-  return get_or_run_keyed(s, scenario_key(s));
+  return get_or_run_keyed(s, scenario_key(s), nullptr);
+}
+
+namespace {
+
+/// Bump a store-wide counter and, when the caller keeps one, its own tally.
+void count(std::atomic<std::uint64_t>& global, ProfileStore::Stats* tally,
+           std::uint64_t ProfileStore::Stats::*field) {
+  global.fetch_add(1, std::memory_order_relaxed);
+  if (tally != nullptr) ++(tally->*field);
+}
+
+}  // namespace
+
+ScenarioResult ProfileStore::simulate(const Scenario& s) {
+  // The high-water mark of concurrent simulations: what the batch pool's
+  // thread bound (and with it the number of live Machines) is checked by.
+  const std::uint64_t now = running_.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::uint64_t peak = peak_running_.load(std::memory_order_relaxed);
+  while (now > peak &&
+         !peak_running_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
+  }
+  struct Leave {
+    std::atomic<std::uint64_t>& running;
+    ~Leave() { running.fetch_sub(1, std::memory_order_relaxed); }
+  } leave{running_};
+  return run_scenario(s);
 }
 
 std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scenario& s,
-                                                                     const ScenarioKey& k) {
+                                                                     const ScenarioKey& k,
+                                                                     Stats* tally) {
   std::shared_ptr<Entry> e;
   bool runner = false;
   {
@@ -95,10 +140,10 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
   if (!runner) {
     std::unique_lock<std::mutex> lk(e->m);
     if (!e->ready) {
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
+      count(coalesced_, tally, &Stats::coalesced);
       e->cv.wait(lk, [&] { return e->ready; });
     } else {
-      memory_hits_.fetch_add(1, std::memory_order_relaxed);
+      count(memory_hits_, tally, &Stats::memory_hits);
     }
     if (e->error) std::rethrow_exception(e->error);
     return e->result;
@@ -109,11 +154,11 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
   if (!dir_.empty()) {
     switch (load_from_dir(dir_, k, r, /*read_only=*/false)) {
       case Load::kHit:
-        disk_hits_.fetch_add(1, std::memory_order_relaxed);
+        count(disk_hits_, tally, &Stats::disk_hits);
         have = true;
         break;
       case Load::kCorrupt:
-        quarantine(dir_, k, /*read_only=*/false);
+        quarantine(dir_, k, /*read_only=*/false, tally);
         break;
       case Load::kMiss:
         break;
@@ -124,11 +169,11 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
     // never copied into (or written back to) either directory.
     switch (load_from_dir(ro_dir_, k, r, /*read_only=*/true)) {
       case Load::kHit:
-        ro_hits_.fetch_add(1, std::memory_order_relaxed);
+        count(ro_hits_, tally, &Stats::ro_hits);
         have = true;
         break;
       case Load::kCorrupt:
-        quarantine(ro_dir_, k, /*read_only=*/true);
+        quarantine(ro_dir_, k, /*read_only=*/true, tally);
         break;
       case Load::kMiss:
         break;
@@ -136,7 +181,7 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
   }
   if (!have) {
     try {
-      r = run_scenario(s);
+      r = simulate(s);
     } catch (...) {
       // Release the key first so a later call may retry, then wake waiters
       // with the error (they hold their own shared_ptr to this entry).
@@ -153,8 +198,8 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
       e->cv.notify_all();
       std::rethrow_exception(err);
     }
-    simulated_.fetch_add(1, std::memory_order_relaxed);
-    if (!dir_.empty()) save_to_disk(s, k, r);
+    count(simulated_, tally, &Stats::simulated);
+    if (!dir_.empty()) save_to_disk(s, k, r, tally);
   }
   auto result = std::make_shared<const ScenarioResult>(std::move(r));
   {
@@ -178,43 +223,67 @@ bool ProfileStore::is_ready(const ScenarioKey& k) const {
   return e->ready;
 }
 
-std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many(
-    const std::vector<Scenario>& scenarios, int threads) {
-  std::vector<std::shared_ptr<const ScenarioResult>> out(scenarios.size());
+std::vector<ProfileStore::Outcome> ProfileStore::run_batch(
+    const std::vector<Scenario>& scenarios, int threads, Stats* tally) {
+  // One job per distinct key, in order of first appearance; a job looks
+  // its slots up in input order (later slots of a key are memory hits, or
+  // retries under their own guards after a failure).
   std::vector<ScenarioKey> keys;
   keys.reserve(scenarios.size());
-  for (const Scenario& s : scenarios) keys.push_back(scenario_key(s));
+  std::unordered_map<std::string, std::size_t> job_of;
+  std::vector<std::vector<std::size_t>> jobs;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    keys.push_back(scenario_key(scenarios[i]));
+    const auto [it, inserted] = job_of.try_emplace(keys.back().hex(), jobs.size());
+    if (inserted) jobs.emplace_back();
+    jobs[it->second].push_back(i);
+  }
+
+  std::vector<Outcome> out(scenarios.size());
+  std::vector<Stats> counts(jobs.size());
+  const auto run_job = [&](std::size_t j) {
+    for (const std::size_t i : jobs[j]) {
+      try {
+        out[i].result = get_or_run_keyed(scenarios[i], keys[i], &counts[j]);
+      } catch (...) {
+        out[i].error = std::current_exception();
+      }
+    }
+  };
   // All-hit fast path: re-aggregations of already-profiled plans (every
   // predict() after the first, warm bench re-runs) should not spin up the
   // thread pool just to collect memory hits.
-  bool all_ready = true;
-  for (const ScenarioKey& k : keys) {
-    if (!is_ready(k)) {
-      all_ready = false;
-      break;
-    }
-  }
-  if (all_ready) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      out[i] = get_or_run_keyed(scenarios[i], keys[i]);
-    }
-    return out;
-  }
-  // parallel_for fns must not throw (core/parallel.hpp): trap per-slot, let
-  // every job finish, then rethrow the lowest-index error — which scenario
-  // fails is thread-count invariant.
-  std::vector<std::exception_ptr> errors(scenarios.size());
-  parallel_for(scenarios.size(), threads, [&](std::size_t i) {
-    try {
-      out[i] = get_or_run_keyed(scenarios[i], keys[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
+  const bool all_ready = std::all_of(jobs.begin(), jobs.end(), [&](const auto& job) {
+    return is_ready(keys[job.front()]);
   });
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
+  if (all_ready) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
+  } else {
+    parallel_for(jobs.size(), threads, run_job);
+  }
+
+  if (tally != nullptr) {
+    for (const Stats& c : counts) *tally += c;
+    tally->memory_only = memory_only_.load(std::memory_order_relaxed);
+    tally->peak_running = peak_running_.load(std::memory_order_relaxed);
   }
   return out;
+}
+
+std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::results_or_throw(
+    std::span<const Outcome> outcomes) {
+  std::vector<std::shared_ptr<const ScenarioResult>> out;
+  out.reserve(outcomes.size());
+  for (const Outcome& o : outcomes) {
+    if (o.error) std::rethrow_exception(o.error);
+    out.push_back(o.result);
+  }
+  return out;
+}
+
+std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many(
+    const std::vector<Scenario>& scenarios, int threads) {
+  return results_or_throw(run_batch(scenarios, threads));
 }
 
 // -------------------------------------------------------------- persistence
@@ -255,12 +324,12 @@ ProfileStore::Load ProfileStore::load_from_dir(const std::string& dir, const Sce
   return Load::kCorrupt;
 }
 
-void ProfileStore::quarantine(const std::string& dir, const ScenarioKey& k,
-                              bool read_only) const {
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
+void ProfileStore::quarantine(const std::string& dir, const ScenarioKey& k, bool read_only,
+                              Stats* tally) const {
+  count(quarantined_, tally, &Stats::quarantined);
   const std::string path = path_in(dir, k);
   if (read_only) {
-    ro_quarantine_warnings_.fetch_add(1, std::memory_order_relaxed);
+    count(ro_quarantine_warnings_, tally, &Stats::ro_quarantine_warnings);
     // Never mutate the read-only layer; just stop trusting this entry.
     std::fprintf(stderr, "ProfileStore: corrupt read-only cache entry %s (ignored)\n",
                  path.c_str());
@@ -279,7 +348,7 @@ void ProfileStore::quarantine(const std::string& dir, const ScenarioKey& k,
 }
 
 void ProfileStore::save_to_disk(const Scenario& s, const ScenarioKey& k,
-                                const ScenarioResult& r) const {
+                                const ScenarioResult& r, Stats* tally) const {
   if (memory_only_.load(std::memory_order_relaxed)) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -307,14 +376,14 @@ void ProfileStore::save_to_disk(const Scenario& s, const ScenarioKey& k,
   }
   if (!ok) {
     std::filesystem::remove(tmp, ec);  // never leak the temp file
-    note_persist_failure(path);
+    note_persist_failure(path, tally);
     return;
   }
   consecutive_persist_failures_.store(0, std::memory_order_relaxed);
 }
 
-void ProfileStore::note_persist_failure(const std::string& path) const {
-  persist_errors_.fetch_add(1, std::memory_order_relaxed);
+void ProfileStore::note_persist_failure(const std::string& path, Stats* tally) const {
+  count(persist_errors_, tally, &Stats::persist_errors);
   const int streak = consecutive_persist_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (streak >= kPersistBackoffThreshold) {
     if (!memory_only_.exchange(true, std::memory_order_relaxed)) {

@@ -31,6 +31,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,11 +52,20 @@ class ProfileStore {
     std::uint64_t persist_errors = 0;  // failed writes/renames (degraded to re-simulation)
     std::uint64_t ro_quarantine_warnings = 0;  // corrupt RO-tier entries (warned, never mutated)
     bool memory_only = false;       // write-side backoff engaged (stopped persisting)
+    std::uint64_t peak_running = 0;  // most scenarios ever simulating at once
 
-    /// Counter-wise `now - base`: the per-request store activity the ppd
-    /// daemon reports for each served spec (memory_only is a mode, not a
-    /// counter — the current value carries over).
+    /// Counter-wise `now - base` (memory_only and peak_running are gauges,
+    /// not counters — the current values carry over).
     [[nodiscard]] static Stats delta(const Stats& now, const Stats& base);
+
+    /// Counter-wise sum; the gauges take `o`'s values.
+    Stats& operator+=(const Stats& o);
+  };
+
+  /// One slot of a batch: the result, or the error its run raised.
+  struct Outcome {
+    std::shared_ptr<const ScenarioResult> result;
+    std::exception_ptr error;
   };
 
   /// Consecutive persistence failures before the store stops writing
@@ -87,10 +97,25 @@ class ProfileStore {
   /// the runner's error; the key is released so a later call may retry.
   [[nodiscard]] std::shared_ptr<const ScenarioResult> get_or_run(const Scenario& s);
 
-  /// Fan a scenario list out over up to `threads` host threads (results in
-  /// input order). Duplicate keys in the list coalesce via single-flight.
-  /// If any scenario fails, every job still completes, then the
-  /// lowest-index error is rethrown (thread-count invariant).
+  /// Run a scenario list over one pool of at most `threads` host threads
+  /// and return each slot's own outcome, in input order; never throws.
+  /// Slots that share a key form one job whose slots are looked up in input
+  /// order, so a key simulates at most once and its later slots are memory
+  /// hits. A failed run releases the key and the key's next slot retries
+  /// under its *own* guards (budget_ms and deadline are not key content),
+  /// as if the slots ran serially: one slot's guard failure never reaches
+  /// another slot. `tally` (optional) receives the counters of this call's
+  /// own lookups — not of concurrent callers — plus the current gauges.
+  [[nodiscard]] std::vector<Outcome> run_batch(const std::vector<Scenario>& scenarios,
+                                               int threads, Stats* tally = nullptr);
+
+  /// The results of a run_batch slice, or the lowest-index error rethrown
+  /// (which slot fails is thread-count invariant).
+  [[nodiscard]] static std::vector<std::shared_ptr<const ScenarioResult>> results_or_throw(
+      std::span<const Outcome> outcomes);
+
+  /// run_batch + results_or_throw: every job completes, then the
+  /// lowest-index error (if any) is rethrown.
   [[nodiscard]] std::vector<std::shared_ptr<const ScenarioResult>> get_or_run_many(
       const std::vector<Scenario>& scenarios, int threads);
 
@@ -98,7 +123,7 @@ class ProfileStore {
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }
   [[nodiscard]] const std::string& ro_cache_dir() const { return ro_dir_; }
 
-  /// One-line "simulated=N memory_hits=N disk_hits=N coalesced=N" summary
+  /// One-line "simulated=N memory_hits=N disk_hits=N coalesced=N ..." summary
   /// (bench binaries print it to stderr so stdout stays byte-comparable).
   /// The static overload formats an arbitrary snapshot identically — the ppd
   /// daemon renders per-request Stats::delta lines with it, so CI greps work
@@ -117,15 +142,21 @@ class ProfileStore {
 
   enum class Load : std::uint8_t { kMiss, kHit, kCorrupt };
 
+  /// `tally` (may be null) counts this lookup's outcomes alongside the
+  /// store-wide counters.
   [[nodiscard]] std::shared_ptr<const ScenarioResult> get_or_run_keyed(const Scenario& s,
-                                                                       const ScenarioKey& k);
+                                                                       const ScenarioKey& k,
+                                                                       Stats* tally);
+  [[nodiscard]] ScenarioResult simulate(const Scenario& s);
   [[nodiscard]] bool is_ready(const ScenarioKey& k) const;
   [[nodiscard]] static std::string path_in(const std::string& dir, const ScenarioKey& k);
   [[nodiscard]] Load load_from_dir(const std::string& dir, const ScenarioKey& k,
                                    ScenarioResult& out, bool read_only) const;
-  void quarantine(const std::string& dir, const ScenarioKey& k, bool read_only) const;
-  void save_to_disk(const Scenario& s, const ScenarioKey& k, const ScenarioResult& r) const;
-  void note_persist_failure(const std::string& path) const;
+  void quarantine(const std::string& dir, const ScenarioKey& k, bool read_only,
+                  Stats* tally) const;
+  void save_to_disk(const Scenario& s, const ScenarioKey& k, const ScenarioResult& r,
+                    Stats* tally) const;
+  void note_persist_failure(const std::string& path, Stats* tally) const;
 
   std::string dir_;
   std::string ro_dir_;
@@ -142,6 +173,8 @@ class ProfileStore {
   mutable std::atomic<std::uint64_t> ro_quarantine_warnings_{0};
   mutable std::atomic<int> consecutive_persist_failures_{0};
   mutable std::atomic<bool> memory_only_{false};
+  std::atomic<std::uint64_t> running_{0};       // scenarios simulating right now
+  std::atomic<std::uint64_t> peak_running_{0};  // high-water mark of running_
 };
 
 /// Serialize / parse one result file (exposed for tests; the JSON subset is

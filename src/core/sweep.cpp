@@ -113,16 +113,21 @@ SweepResult SweepProfiler::sweep(const FlowSpec& target, ContentionMode mode,
 std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& targets,
                                                    ContentionMode mode,
                                                    const std::vector<SynParams>& levels) const {
-  // Lay every scenario of every target — solo baselines first, then the
-  // (level, seed) grid — into one flat job list. Each job writes its own
-  // pre-assigned slot in the store fan-out, and aggregation below walks the
-  // slots in serial order, so the result is bit-identical whatever
-  // threads_ is and however many sweeps share the store concurrently.
+  return assemble_many(targets, mode, levels,
+                       solo_.store().get_or_run_many(plan_many(targets, mode, levels), threads_));
+}
+
+std::vector<Scenario> SweepProfiler::plan_many(const std::vector<FlowSpec>& targets,
+                                               ContentionMode mode,
+                                               const std::vector<SynParams>& levels) const {
+  // Every scenario of every target — solo baselines first, then the
+  // (level, seed) grid — in one flat list. Each job writes its own
+  // pre-assigned slot in the store fan-out, and assemble_many walks the
+  // slots in serial order, so the result is bit-identical whatever the
+  // thread count and however many sweeps share the store concurrently.
   const int seeds = solo_.seeds();
-  const std::size_t per_target =
-      static_cast<std::size_t>(seeds) * (1 + levels.size());  // solo + grid
   std::vector<Scenario> jobs;
-  jobs.reserve(per_target * targets.size());
+  jobs.reserve(static_cast<std::size_t>(seeds) * (1 + levels.size()) * targets.size());
   for (const FlowSpec& target : targets) {
     for (const Scenario& s : solo_.plan(target)) jobs.push_back(s);
     for (const SynParams& level : levels) {
@@ -131,17 +136,31 @@ std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& 
       }
     }
   }
+  return jobs;
+}
 
-  const auto runs = solo_.store().get_or_run_many(jobs, threads_);
+FlowMetrics SweepProfiler::solo_of(
+    std::size_t t, std::size_t num_levels,
+    const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const {
+  const auto seeds = static_cast<std::size_t>(solo_.seeds());
+  const std::size_t base = t * seeds * (1 + num_levels);
+  return SoloProfiler::merge_plan({runs.begin() + static_cast<std::ptrdiff_t>(base),
+                                   runs.begin() + static_cast<std::ptrdiff_t>(base + seeds)});
+}
 
+std::vector<SweepResult> SweepProfiler::assemble_many(
+    const std::vector<FlowSpec>& targets, ContentionMode mode,
+    const std::vector<SynParams>& levels,
+    const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const {
+  const int seeds = solo_.seeds();
+  const std::size_t per_target =
+      static_cast<std::size_t>(seeds) * (1 + levels.size());  // solo + grid
+  PP_CHECK(runs.size() == per_target * targets.size());
   std::vector<SweepResult> out;
   out.reserve(targets.size());
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const std::size_t base = t * per_target;
-    const std::vector<std::shared_ptr<const ScenarioResult>> solo_runs(
-        runs.begin() + static_cast<std::ptrdiff_t>(base),
-        runs.begin() + static_cast<std::ptrdiff_t>(base + static_cast<std::size_t>(seeds)));
-    const FlowMetrics solo = SoloProfiler::merge_plan(solo_runs);
+    const FlowMetrics solo = solo_of(t, levels.size(), runs);
 
     SweepResult result;
     result.target = targets[t].type;

@@ -92,9 +92,31 @@ class SweepProfiler {
   /// their solo baselines — fan out over one host thread pool (this is how
   /// bench_fig4/5 run the per-type sweeps of one figure concurrently).
   /// Results are in target order, bit-identical to calling sweep() serially.
+  /// Equivalent to assemble_many(plan_many(...), one store request).
   [[nodiscard]] std::vector<SweepResult> sweep_many(
       const std::vector<FlowSpec>& targets, ContentionMode mode,
       const std::vector<SynParams>& levels) const;
+
+  /// The scenario plan behind sweep_many, known before any result exists:
+  /// per target, its solo plan (seed order) followed by the (level, seed)
+  /// grid. Callers that batch several sweeps fan the plans into one store
+  /// request and hand each its slice back through assemble_many.
+  [[nodiscard]] std::vector<Scenario> plan_many(const std::vector<FlowSpec>& targets,
+                                                ContentionMode mode,
+                                                const std::vector<SynParams>& levels) const;
+
+  /// Aggregate plan_many's results (`runs` parallel to its plan) in plan
+  /// order. The first `seeds()` slots of target t's block are its solo
+  /// baseline, so solo_of() reads them back without another store request.
+  [[nodiscard]] std::vector<SweepResult> assemble_many(
+      const std::vector<FlowSpec>& targets, ContentionMode mode,
+      const std::vector<SynParams>& levels,
+      const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const;
+
+  /// Target t's seed-merged solo baseline out of plan_many's results.
+  [[nodiscard]] FlowMetrics solo_of(
+      std::size_t t, std::size_t num_levels,
+      const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const;
 
   /// Host-parallelism override (tests pin this to compare thread counts).
   void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }

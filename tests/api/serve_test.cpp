@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -163,6 +164,62 @@ TEST_F(ServeTest, PingAndStatAnswerWithoutTouchingAdmission) {
   EXPECT_NE(text.find("ro_quarantine_warnings="), std::string::npos)
       << "daemon stat must reuse ProfileStore::stats_line verbatim";
   EXPECT_NE(text.find("[ppd] latency_us: count="), std::string::npos);
+}
+
+TEST(ServeLatency, StatsKeepCountingPastTheOldSampleCapAndFollowALateShift) {
+  // The stat line's latency summary comes from a fixed-size histogram: it
+  // must not freeze at 65,536 samples (the old capped vector did), and p99
+  // must move when the traffic shifts late in the daemon's life.
+  LogLinearHistogram h;
+  for (int i = 0; i < 70000; ++i) h.record(100);
+  EXPECT_EQ(h.count(), 70000U);
+  EXPECT_LE(h.quantile(0.99), 100U);
+  EXPECT_EQ(latency_summary(h).rfind("count=70000 p50=", 0), 0U) << latency_summary(h);
+
+  for (int i = 0; i < 5000; ++i) h.record(50000);
+  EXPECT_EQ(h.count(), 75000U) << "count must keep rising";
+  EXPECT_GE(h.quantile(0.99), 50000U - 50000U / LogLinearHistogram::kSub)
+      << "p99 must follow the late shift: " << latency_summary(h);
+  EXPECT_LE(h.quantile(0.50), 100U);
+  EXPECT_EQ(h.max(), 50000U);
+  EXPECT_NE(latency_summary(h).find(" max=50000"), std::string::npos) << latency_summary(h);
+}
+
+TEST_F(ServeTest, WarmReplyCountsOnlyItsOwnStoreWork) {
+  start();
+  Client c = client();
+  const std::string warm_spec = corun_spec("warm");
+  Reply prewarm;
+  ASSERT_TRUE(c.run(warm_spec, "text", 0, prewarm).ok());
+  ASSERT_FALSE(prewarm.failed);
+
+  // A cold request simulates on one worker while warm requests keep
+  // arriving on the other. A store-wide before/after delta would charge a
+  // warm reply with every cold simulation that finished during it.
+  std::atomic<bool> cold_done{false};
+  Reply cold;
+  std::thread cold_thread([&] {
+    Client cc = client();
+    (void)cc.run(slow_spec("cold"), "text", 0, cold);
+    cold_done.store(true);
+  });
+  const bool cold_active = wait_for_active(1);
+  int warm_sent = 0;
+  while (cold_active && !cold_done.load()) {
+    Reply warm;
+    if (!c.run(warm_spec, "text", 0, warm).ok()) {
+      ADD_FAILURE() << "warm request failed";
+      break;
+    }
+    EXPECT_EQ(warm.store_line.find("simulated=0 "), 0U) << warm.store_line;
+    ++warm_sent;
+  }
+  cold_thread.join();
+  ASSERT_TRUE(cold_active);
+  EXPECT_GE(warm_sent, 1);
+  EXPECT_FALSE(cold.failed);
+  EXPECT_EQ(cold.store_line.find("simulated=0 "), std::string::npos)
+      << "the cold reply must report its own simulations: " << cold.store_line;
 }
 
 TEST_F(ServeTest, InvalidSpecFailsTheRequestNotTheConnection) {

@@ -146,17 +146,19 @@ TEST(ProfileStoreRo, CorruptRoEntryWarnsResimulatesAndNeverMutatesTheLayer) {
   EXPECT_EQ(content, "CORRUPT{");
 }
 
-TEST(ProfileStoreRo, StatsLineAppendsRoQuarantineWarningsLast) {
+TEST(ProfileStoreRo, StatsLineAppendsNewFieldsLast) {
   ProfileStore::Stats st;
   st.simulated = 2;
   st.ro_quarantine_warnings = 5;
+  st.peak_running = 3;
   const std::string line = ProfileStore::stats_line(st);
-  // Tooling anchors on the original prefix; new counters append after it.
+  // Tooling anchors on the original prefix; new fields append after it in
+  // the order they were added (ro_quarantine_warnings, then peak_running).
   EXPECT_EQ(line.rfind("simulated=2 ", 0), 0U) << line;
-  const std::string tail = "ro_quarantine_warnings=5";
+  const std::string tail = "ro_quarantine_warnings=5 peak_running=3";
   ASSERT_GE(line.size(), tail.size());
   EXPECT_EQ(line.substr(line.size() - tail.size()), tail)
-      << "ro_quarantine_warnings must stay the last field: " << line;
+      << "new fields must append at the end, in order: " << line;
 }
 
 TEST(ProfileStoreRo, StatsDeltaSubtractsCountersAndCarriesTheMode) {
@@ -174,6 +176,7 @@ TEST(ProfileStoreRo, StatsDeltaSubtractsCountersAndCarriesTheMode) {
   now.memory_hits += 4;
   now.ro_quarantine_warnings += 1;
   now.memory_only = true;
+  now.peak_running = 4;
 
   const ProfileStore::Stats d = ProfileStore::Stats::delta(now, base);
   EXPECT_EQ(d.simulated, 2U);
@@ -185,9 +188,10 @@ TEST(ProfileStoreRo, StatsDeltaSubtractsCountersAndCarriesTheMode) {
   EXPECT_EQ(d.persist_errors, 0U);
   EXPECT_EQ(d.ro_quarantine_warnings, 1U);
   EXPECT_TRUE(d.memory_only) << "memory_only is a mode, not a counter: current value carries";
+  EXPECT_EQ(d.peak_running, 4U) << "peak_running is a gauge: current value carries";
   EXPECT_EQ(ProfileStore::stats_line(d),
             "simulated=2 memory_hits=4 disk_hits=0 ro_hits=0 coalesced=0 quarantined=0 "
-            "persist_errors=0 memory_only=1 ro_quarantine_warnings=1");
+            "persist_errors=0 memory_only=1 ro_quarantine_warnings=1 peak_running=4");
 }
 
 TEST(ProfileStoreRo, PrimaryWinsWhenBothLayersHold) {
