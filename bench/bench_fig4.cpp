@@ -1,9 +1,5 @@
-// Figure 4 bench binary — a thin main over the shared artifact runner
-// (bench/figures.hpp), which `ppctl run` drives identically from a spec
-// file with "artifact": "fig4".
-#include "figures.hpp"
+// Figure 4 bench binary: the "fig4" artifact spec run through api::Session,
+// exactly as `ppctl run examples/specs/fig4.json` and ppd run it.
+#include "common.hpp"
 
-int main() {
-  pp::bench::Engine eng;
-  return pp::bench::run_fig4(eng);
-}
+int main() { return pp::bench::artifact_main("fig4", pp::api::ExperimentKind::kSweep); }

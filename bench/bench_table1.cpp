@@ -1,9 +1,5 @@
-// Table 1 bench binary — a thin main over the shared artifact runner
-// (bench/figures.hpp), which `ppctl run` drives identically from a spec
-// file with "artifact": "table1".
-#include "figures.hpp"
+// Table 1 bench binary: the "table1" artifact spec run through api::Session,
+// exactly as `ppctl run examples/specs/table1.json` and ppd run it.
+#include "common.hpp"
 
-int main() {
-  pp::bench::Engine eng(pp::seeds_for(pp::scale_from_env()));
-  return pp::bench::run_table1(eng);
-}
+int main() { return pp::bench::artifact_main("table1", pp::api::ExperimentKind::kSolo); }

@@ -50,6 +50,18 @@ inline void print_table(const char* title, const TextTable& table) {
   std::fflush(stdout);
 }
 
+/// Store-stats footer. Stderr on purpose: the CI warm-cache job diffs
+/// stdout between a cold and a warm run and greps this line for
+/// "simulated=0" on the warm one; the fault-injection smoke job greps it
+/// for nonzero quarantined/persist_errors counters while asserting stdout
+/// stays byte-identical to a fault-free run.
+inline void print_store_stats(const char* bench, const core::ProfileStore& store) {
+  std::fprintf(stderr, "[%s] profile store: %s\n", bench, store.stats_line().c_str());
+  if (FaultInjector::global().enabled()) {
+    std::fprintf(stderr, "[%s] faults: %s\n", bench, FaultInjector::global().stats_line().c_str());
+  }
+}
+
 /// Sweeps are the most expensive piece; at standard scale one seed per point
 /// keeps the full suite to minutes (determinism makes the variance tiny —
 /// the paper notes its 5-run variance was negligible too).
@@ -76,27 +88,17 @@ struct Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Explicit options (spec-driven construction): what ppctl builds from a
-  /// spec file + flags. `seeds` = averaging seeds per data point (0 = the
-  /// sweep default).
-  explicit Engine(api::SessionOptions opts, int seeds = 0)
-      : session(opts),
-        scale(opts.scale),
+  /// Environment-configured construction at scale `s`. `seeds` = averaging
+  /// seeds per data point (0 = the sweep default).
+  explicit Engine(int seeds = 0, Scale s = scale_from_env())
+      : session(api::SessionOptions::from_env().with_scale(s)),
+        scale(s),
         stack(session.options(), seeds, session.store()),
         tb(stack.tb),
         solo(stack.solo),
         sweep(stack.sweep),
         predictor(stack.predictor),
         placement(stack.placement) {}
-
-  /// Environment-configured construction (the historical bench default).
-  explicit Engine(int seeds = 0, Scale s = scale_from_env())
-      : Engine(api::SessionOptions::from_env().with_scale(s), seeds) {}
-
-  /// Spec-driven construction: the spec's session/machine overrides applied
-  /// over the environment baseline.
-  explicit Engine(const api::ExperimentSpec& spec)
-      : Engine(api::apply_spec(spec, api::SessionOptions::from_env()), spec.seeds) {}
 
   [[nodiscard]] core::ProfileStore& store() const { return solo.store(); }
   [[nodiscard]] int threads() const { return sweep.threads(); }
@@ -113,19 +115,23 @@ struct Engine {
     return core::Scenario::of(tb, cfg);
   }
 
-  /// Store-stats footer. Stderr on purpose: the CI warm-cache job diffs
-  /// stdout between a cold and a warm run and greps this line for
-  /// "simulated=0" on the warm one; the fault-injection smoke job greps it
-  /// for nonzero quarantined/persist_errors counters while asserting stdout
-  /// stays byte-identical to a fault-free run.
-  void print_store_stats(const char* bench) const {
-    std::fprintf(stderr, "[%s] profile store: %s\n", bench, store().stats_line().c_str());
-    if (FaultInjector::global().enabled()) {
-      std::fprintf(stderr, "[%s] faults: %s\n", bench,
-                   FaultInjector::global().stats_line().c_str());
-    }
-  }
+  void print_store_stats(const char* name) const { bench::print_store_stats(name, store()); }
 };
+
+/// Main of a paper-artifact bench (bench_fig4, bench_table1): the artifact
+/// spec through api::Session — the path `ppctl run` and ppd take for
+/// examples/specs/<artifact>.json — printed as ppctl prints text.
+inline int artifact_main(const char* artifact, api::ExperimentKind kind) {
+  api::ExperimentSpec spec;
+  spec.kind = kind;
+  spec.artifact = artifact;
+  api::Session session;
+  const api::Result r = session.run(spec);
+  std::printf("%s\n", r.to_text().c_str());
+  std::fflush(stdout);
+  print_store_stats(artifact, session.store());
+  return r.ok() ? 0 : 3;
+}
 
 /// Aggregate of one pairwise cell pooled over its seed runs.
 struct PairwiseOutcome {

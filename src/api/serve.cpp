@@ -46,7 +46,7 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] Error to_error(const Status& s) { return Error{s.kind, s.site, s.detail}; }
 
 /// A structured failed Result for a request refused before execution
-/// (deadlined out in the admission queue, broken artifact): same shape a
+/// (deadlined out in the admission queue): same shape a
 /// failed Session::run produces, so every client render path works on it.
 [[nodiscard]] Result refusal_result(const ExperimentSpec& spec, const SessionOptions& base,
                                     Error e) {
@@ -488,63 +488,24 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
       break;
   }
 
-  Response resp;
-  if (!spec.artifact.empty()) {
-    // Artifacts run through the bench engine, outside this request's
-    // Session, so their line is the delta over the whole shared store.
-    const core::ProfileStore::Stats before = store().stats();
-    if (!opts_.artifact_runner) {
-      specs_failed_.fetch_add(1, std::memory_order_relaxed);
-      resp = {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request",
-                                   "this daemon cannot serve artifact specs"},
-                             0),
-              "", false};
-    } else {
-      std::string out;
-      const int rc = opts_.artifact_runner(spec, deadline, out);
-      const std::string delta = core::ProfileStore::stats_line(
-          core::ProfileStore::Stats::delta(store().stats(), before));
-      if (rc < 0) {
-        specs_failed_.fetch_add(1, std::memory_order_relaxed);
-        resp = {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request",
-                                     "unknown artifact \"" + spec.artifact + "\""},
-                               0),
-                "", false};
-      } else if (rc != 0) {
-        specs_failed_.fetch_add(1, std::memory_order_relaxed);
-        const Result r = refusal_result(
-            spec, opts_.session,
-            Error{StatusKind::kInternal, "serve.artifact",
-                  strformat("artifact \"%s\" exited with status %d", spec.artifact.c_str(), rc)});
-        resp = {strformat("{\"ok\":true,\"failed\":true,\"store\":%s}", json_quote(delta).c_str()),
-                render_result(r, format), false};
-      } else {
-        specs_ok_.fetch_add(1, std::memory_order_relaxed);
-        resp = {strformat("{\"ok\":true,\"failed\":false,\"store\":%s}", json_quote(delta).c_str()),
-                out, false};
-      }
-    }
+  SessionOptions req = opts_.session;
+  req.wall_deadline = deadline;
+  Session session(req, &store());
+  // Only this request's own lookups: a concurrent cold request's
+  // simulations never show up in a warm reply.
+  core::ProfileStore::Stats own;
+  const Result r = session.run(spec, &own);
+  if (r.ok()) {
+    specs_ok_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    SessionOptions req = opts_.session;
-    req.wall_deadline = deadline;
-    Session session(req, &store());
-    // Only this request's own lookups: a concurrent cold request's
-    // simulations never show up in a warm reply.
-    core::ProfileStore::Stats own;
-    const Result r = session.run(spec, &own);
-    const std::string delta = core::ProfileStore::stats_line(own);
-    if (r.ok()) {
-      specs_ok_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      specs_failed_.fetch_add(1, std::memory_order_relaxed);
-      if (r.error->site == "scenario.deadline") {
-        deadline_refused_.fetch_add(1, std::memory_order_relaxed);
-      }
+    specs_failed_.fetch_add(1, std::memory_order_relaxed);
+    if (r.error->site == "scenario.deadline") {
+      deadline_refused_.fetch_add(1, std::memory_order_relaxed);
     }
-    resp = {strformat("{\"ok\":true,\"failed\":%s,\"store\":%s}", r.ok() ? "false" : "true",
-                      json_quote(delta).c_str()),
-            render_result(r, format), false};
   }
+  Response resp{strformat("{\"ok\":true,\"failed\":%s,\"store\":%s}", r.ok() ? "false" : "true",
+                          json_quote(core::ProfileStore::stats_line(own)).c_str()),
+                render_result(r, format), false};
   release_slot();
   return resp;
 }

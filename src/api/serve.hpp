@@ -31,7 +31,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -91,14 +90,6 @@ struct ServerOptions {
   /// chosen exactly like api::Session's (the process-global store when the
   /// cache directories match the environment).
   SessionOptions session = SessionOptions::from_env();
-
-  /// Renders an artifact spec's canned stdout (the ppd binary wires this to
-  /// the bench artifact runners with stdout capture; unset = artifact specs
-  /// are answered with invalid_spec). Returns the artifact's exit code, or
-  /// < 0 for an unknown artifact name.
-  std::function<int(const ExperimentSpec&, std::chrono::steady_clock::time_point deadline,
-                    std::string& captured_stdout)>
-      artifact_runner;
 };
 
 /// "count=N p50=N p90=N p99=N max=N" over a latency histogram (µs): the

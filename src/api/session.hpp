@@ -58,12 +58,15 @@ struct Error {
 
 /// Structured answer to one spec. Which sections are filled depends on the
 /// kind: flows for solo/corun/predict, sweeps for sweep, study for
-/// placement_search. A failed spec carries `error` and empty sections — never
-/// a half-filled result, never an abort. Serializes to JSON/text/CSV
-/// (schema: docs/api.md; failure semantics: docs/robustness.md).
+/// placement_search. An artifact fills the sections of the specs it expands
+/// to (fig4: fifteen sweeps; table1: five solo flows), and to_text() renders
+/// them as the paper figure. A failed spec carries `error` and empty
+/// sections — never a half-filled result, never an abort. Serializes to
+/// JSON/text/CSV (schema: docs/api.md; failure semantics: docs/robustness.md).
 struct Result {
   ExperimentKind kind = ExperimentKind::kCorun;
   std::string name;
+  std::string artifact;  // "fig4"/"table1" for an artifact spec, "" = generic
   Scale scale = Scale::kStandard;
   sim::SimFidelity fidelity = sim::SimFidelity::kExact;
   int seeds = 1;
@@ -115,9 +118,9 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Execute one generic spec (artifact specs are a ppctl concern — they
-  /// render canned figure stdout rather than a structured Result): its whole
-  /// plan goes to the store in one request over options().threads workers.
+  /// Execute one spec (an artifact runs as the union of the generic specs
+  /// it expands to): its whole plan goes to the store in one request over
+  /// options().threads workers.
   /// Safe to call concurrently; every scenario is simulated at most once per
   /// store. Never throws and never aborts on a bad spec or a failed run:
   /// failures come back as Result::error with empty data sections.

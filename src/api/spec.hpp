@@ -50,8 +50,9 @@ struct ExperimentSpec {
   /// Optional label echoed into results ("" = unnamed).
   std::string name;
 
-  /// Canned multi-part artifact ("fig4", "table1"); executed by ppctl with
-  /// byte-identical stdout to the corresponding bench binary. "" = generic.
+  /// Paper artifact ("fig4", "table1"): Session expands it into the generic
+  /// specs the figure is made of, and Result::to_text renders the figure
+  /// byte-identically to the bench binary. "" = generic.
   std::string artifact;
 
   /// Unset fields inherit the session's configuration (ultimately the

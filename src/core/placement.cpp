@@ -20,6 +20,7 @@ Scenario PlacementEvaluator::placement_scenario(const std::vector<FlowSpec>& flo
   cfg.warmup_ms = tb.default_warmup_ms();
   cfg.measure_ms = tb.default_measure_ms();
   cfg.budget_ms = tb.run_budget_ms();
+  cfg.deadline = tb.run_deadline();
   cfg.flows = flows;
   int next_core[2] = {0, per_socket};
   for (std::size_t i = 0; i < flows.size(); ++i) {

@@ -55,18 +55,4 @@ FlowMetrics SoloProfiler::profile_spec(const FlowSpec& spec) const {
 
 FlowMetrics SoloProfiler::profile(FlowType t) const { return profile_spec(FlowSpec::of(t)); }
 
-TextTable SoloProfiler::table1() const {
-  TextTable t({"Flow", "cycles per instruction", "L3 refs/sec (M)", "L3 hits/sec (M)",
-               "cycles per packet", "L3 refs per packet", "L3 misses per packet",
-               "L2 hits per packet"});
-  for (const FlowType ft : kRealisticTypes) {
-    const FlowMetrics m = profile(ft);
-    t.add_numeric_row(to_string(ft),
-                      {m.cpi(), m.refs_per_sec() / 1e6, m.hits_per_sec() / 1e6,
-                       m.cycles_per_packet(), m.refs_per_packet(), m.misses_per_packet(),
-                       m.l2_hits_per_packet()});
-  }
-  return t;
-}
-
 }  // namespace pp::core

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "base/table.hpp"
 #include "core/profile_store.hpp"
 #include "core/testbed.hpp"
 
@@ -45,9 +44,6 @@ class SoloProfiler {
 
   /// Seed-averaged solo profile of an arbitrary spec.
   [[nodiscard]] FlowMetrics profile_spec(const FlowSpec& spec) const;
-
-  /// Table 1 rows for the realistic types.
-  [[nodiscard]] TextTable table1() const;
 
   [[nodiscard]] int seeds() const { return seeds_; }
   [[nodiscard]] Testbed& testbed() const { return tb_; }

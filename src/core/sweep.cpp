@@ -81,6 +81,7 @@ Scenario SweepProfiler::level_scenario(const FlowSpec& target, ContentionMode mo
   cfg.warmup_ms = tb.default_warmup_ms();
   cfg.measure_ms = tb.default_measure_ms();
   cfg.budget_ms = tb.run_budget_ms();
+  cfg.deadline = tb.run_deadline();
   cfg.flows.push_back(target);
   cfg.placement.push_back(FlowPlacement{0, 0});
   for (int c = 0; c < competitors_; ++c) {

@@ -1,8 +1,8 @@
 // The ppd Server's robustness envelope, exercised in-process over a real
-// Unix-domain socket: byte-identical serving, warm-store reuse, in-flight
-// dedup, bounded-queue shedding, wall-clock deadlines, per-connection
-// poisoning of malformed frames, the serve.* fault sites, and graceful
-// drain with an in-flight request. (Real-process lifecycle — SIGTERM,
+// Unix-domain socket: byte-identical serving (paper artifacts included),
+// warm-store reuse, in-flight dedup, bounded-queue shedding, wall-clock
+// deadlines, per-connection poisoning of malformed frames, the serve.*
+// fault sites, and graceful drain with an in-flight request. (Real-process lifecycle — SIGTERM,
 // kill -9 + restart — lives in tests/serve/ppd_lifecycle_test.sh.)
 #include "api/serve.hpp"
 
@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/client.hpp"
 #include "base/fault.hpp"
@@ -38,6 +39,11 @@ using namespace std::chrono_literals;
   return strformat(
       R"({"version":1,"kind":"corun","name":"%s","measure_ms":4,"flows":[{"type":"MON"},{"type":"VPN"}]})",
       name);
+}
+
+/// The Table 1 artifact: five solo profiles, cheap at quick scale.
+[[nodiscard]] std::string table1_spec() {
+  return R"({"version":1,"kind":"solo","name":"table1","artifact":"table1"})";
 }
 
 class ServeTest : public ::testing::Test {
@@ -153,6 +159,41 @@ TEST_F(ServeTest, ServesByteIdenticalToDirectSessionAndReusesTheWarmStore) {
   EXPECT_EQ(as_json.body, session.run(*spec).to_json());
 }
 
+TEST_F(ServeTest, ServesArtifactByteIdenticalToDirectSession) {
+  start();
+  const std::string spec_json = table1_spec();
+  Client c = client();
+  Reply reply;
+  ASSERT_TRUE(c.run(spec_json, "text", 0, reply).ok());
+  EXPECT_FALSE(reply.error.has_value());
+  EXPECT_FALSE(reply.failed);
+  EXPECT_NE(reply.body.find("Measured (this reproduction):"), std::string::npos) << reply.body;
+
+  SessionOptions direct = opts_.session;
+  direct.cache_dir = dir_ + "/direct-cache";
+  Session session(direct);
+  const std::optional<ExperimentSpec> spec = ExperimentSpec::parse(spec_json);
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(reply.body, session.run(*spec).to_text() + "\n");
+}
+
+TEST_F(ServeTest, DeadlinedArtifactFailsAndTheServerKeepsServing) {
+  start();
+  Client c = client(/*retries=*/1);
+  Reply late;
+  const Status st = c.run(R"({"version":1,"kind":"sweep","artifact":"fig4"})", "text",
+                          /*deadline_ms=*/1, late);
+  ASSERT_TRUE(st.ok()) << st.detail;
+  EXPECT_FALSE(late.error.has_value());
+  EXPECT_TRUE(late.failed);
+  EXPECT_NE(late.body.find("budget_exceeded"), std::string::npos) << late.body;
+
+  Reply next;
+  ASSERT_TRUE(c.run(corun_spec("after-deadline"), "text", 0, next).ok());
+  EXPECT_FALSE(next.failed);
+  EXPECT_GE(server_->stats().deadline_refused, 1U);
+}
+
 TEST_F(ServeTest, PingAndStatAnswerWithoutTouchingAdmission) {
   start();
   Client c = client();
@@ -188,10 +229,13 @@ TEST(ServeLatency, StatsKeepCountingPastTheOldSampleCapAndFollowALateShift) {
 TEST_F(ServeTest, WarmReplyCountsOnlyItsOwnStoreWork) {
   start();
   Client c = client();
-  const std::string warm_spec = corun_spec("warm");
-  Reply prewarm;
-  ASSERT_TRUE(c.run(warm_spec, "text", 0, prewarm).ok());
-  ASSERT_FALSE(prewarm.failed);
+  // A generic spec and an artifact: both reply with their own lookups only.
+  const std::vector<std::string> warm_specs = {corun_spec("warm"), table1_spec()};
+  for (const std::string& warm_spec : warm_specs) {
+    Reply prewarm;
+    ASSERT_TRUE(c.run(warm_spec, "text", 0, prewarm).ok());
+    ASSERT_FALSE(prewarm.failed);
+  }
 
   // A cold request simulates on one worker while warm requests keep
   // arriving on the other. A store-wide before/after delta would charge a
@@ -207,11 +251,13 @@ TEST_F(ServeTest, WarmReplyCountsOnlyItsOwnStoreWork) {
   int warm_sent = 0;
   while (cold_active && !cold_done.load()) {
     Reply warm;
+    const std::string& warm_spec = warm_specs[static_cast<std::size_t>(warm_sent) % 2];
     if (!c.run(warm_spec, "text", 0, warm).ok()) {
       ADD_FAILURE() << "warm request failed";
       break;
     }
-    EXPECT_EQ(warm.store_line.find("simulated=0 "), 0U) << warm.store_line;
+    EXPECT_FALSE(warm.failed) << warm_spec;
+    EXPECT_EQ(warm.store_line.find("simulated=0 "), 0U) << warm_spec << ": " << warm.store_line;
     ++warm_sent;
   }
   cold_thread.join();

@@ -1,10 +1,13 @@
 // api::Session error isolation: failed specs come back as structured
 // Result::error values — never an abort, never a poisoned batch. Covers the
-// run-budget guard, injected scenario faults, invalid specs, dedup of
-// failing specs, serialization of errors, and thread-count invariance.
+// run-budget and wall-clock deadline guards (artifact specs included),
+// injected scenario faults, invalid specs, dedup of failing specs,
+// serialization of errors, and thread-count invariance.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 #include "base/fault.hpp"
 #include "core/profile_store.hpp"
@@ -50,15 +53,63 @@ TEST(SessionError, EmptyFlowsIsAStructuredErrorNotAnAbort) {
   EXPECT_EQ(session.stats().specs_failed, 1U);
 }
 
-TEST(SessionError, ArtifactSpecIsAStructuredError) {
+ExperimentSpec artifact(const char* name, ExperimentKind kind) {
+  ExperimentSpec spec;
+  spec.kind = kind;
+  spec.artifact = name;
+  return spec;
+}
+
+TEST(SessionError, OverBudgetArtifactIsAStructuredBudgetError) {
+  // An artifact runs through the same guards as any spec: its quick-scale
+  // windows (5 ms) exceed a 0.1 ms session budget before any work.
+  for (const ExperimentSpec& spec :
+       {artifact("fig4", ExperimentKind::kSweep), artifact("table1", ExperimentKind::kSolo)}) {
+    core::ProfileStore store;
+    SessionOptions opts = test_options();
+    opts.run_budget_ms = 0.1;
+    Session session(opts, &store);
+    const Result r = session.run(spec);
+    ASSERT_FALSE(r.ok()) << spec.artifact;
+    EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded) << spec.artifact;
+    EXPECT_TRUE(r.flows.empty() && r.sweeps.empty()) << "a failed artifact must not be half-filled";
+    EXPECT_EQ(store.stats().simulated, 0U) << spec.artifact;
+    EXPECT_NE(r.to_text().find("ERROR budget_exceeded"), std::string::npos) << r.to_text();
+  }
+}
+
+TEST(SessionError, UnknownArtifactIsAStructuredError) {
   core::ProfileStore store;
   Session session(test_options(), &store);
-  ExperimentSpec spec;
-  spec.artifact = "fig4";
-  const Result r = session.run(spec);
+  const Result r = session.run(artifact("fig9000", ExperimentKind::kSweep));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error->kind, StatusKind::kInvalidSpec);
-  EXPECT_NE(r.error->detail.find("ppctl"), std::string::npos);
+  EXPECT_NE(r.error->detail.find("fig9000"), std::string::npos);
+}
+
+TEST(SessionError, ExpiredDeadlineStopsEveryKindBeforeAnySimulation) {
+  // The wall-clock deadline reaches every scenario a plan builds — the
+  // sweep grid and the placement study included, not only solo runs.
+  std::vector<FlowSpec> twelve(11, FlowSpec::of(FlowType::kIp));
+  twelve.push_back(FlowSpec::of(FlowType::kFw));
+  ExperimentSpec sweep;
+  sweep.kind = ExperimentKind::kSweep;
+  sweep.flows = {FlowSpec::of(FlowType::kIp)};
+  ExperimentSpec study;
+  study.kind = ExperimentKind::kPlacementSearch;
+  study.flows = twelve;
+  for (const ExperimentSpec& spec :
+       {tiny_corun(FlowType::kIp, FlowType::kMon), sweep, study,
+        artifact("fig4", ExperimentKind::kSweep), artifact("table1", ExperimentKind::kSolo)}) {
+    core::ProfileStore store;
+    SessionOptions opts = test_options();
+    opts.wall_deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    Session session(opts, &store);
+    const Result r = session.run(spec);
+    ASSERT_FALSE(r.ok()) << spec.to_json();
+    EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded) << spec.to_json();
+    EXPECT_EQ(store.stats().simulated, 0U) << spec.to_json();
+  }
 }
 
 TEST(SessionError, BudgetExceededIsNamedAndCarriesTheNumbers) {

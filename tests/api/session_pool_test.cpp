@@ -1,9 +1,10 @@
 // api::Session's batch pool: run_many plans every unique spec, runs the
 // union of their scenarios once over a single pool of options().threads
 // workers, and assembles each spec from its own slice. Locks byte identity
-// against per-spec runs for all five kinds, one simulation per key across
-// overlapping specs, the concurrency bound (ProfileStore peak_running), and
-// per-spec execution guards when two specs plan the same key.
+// against per-spec runs for all five kinds and both paper artifacts, one
+// simulation per key across overlapping specs, the concurrency bound
+// (ProfileStore peak_running), and per-spec execution guards when two specs
+// plan the same key.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -41,6 +42,13 @@ ExperimentSpec tiny_corun(FlowType a, FlowType b, std::uint64_t seed) {
   spec.seed = seed;
   spec.warmup_ms = 0.2;
   spec.measure_ms = 0.4;
+  return spec;
+}
+
+ExperimentSpec artifact(const char* name, ExperimentKind kind) {
+  ExperimentSpec spec;
+  spec.kind = kind;
+  spec.artifact = name;
   return spec;
 }
 
@@ -86,19 +94,45 @@ TEST(SessionPool, MixedBatchMatchesPerSpecRunsAtAnyThreadCount) {
     Session one(test_options(1), &fresh);
     const Result r = one.run(spec);
     ASSERT_TRUE(r.ok()) << to_string(spec.kind) << ": " << r.error->detail;
-    reference.push_back(r.to_json());
+    reference.push_back(r.to_json() + r.to_text());
   }
+  // The paper artifacts. fig4 alone is 80 sweep scenarios, and a cold
+  // serial pass over it takes the TSan build past ctest's timeout, so they
+  // simulate once, cold on 4 workers; each pass then re-plans, re-assembles
+  // and re-renders them at its own thread count from that store.
+  const std::vector<ExperimentSpec> artifacts = {artifact("fig4", ExperimentKind::kSweep),
+                                                 artifact("table1", ExperimentKind::kSolo)};
+  core::ProfileStore artifact_store;
+  std::vector<std::string> artifact_reference;
+  for (const ExperimentSpec& spec : artifacts) {
+    Session one(test_options(4), &artifact_store);
+    const Result r = one.run(spec);
+    ASSERT_TRUE(r.ok()) << spec.artifact << ": " << r.error->detail;
+    artifact_reference.push_back(r.to_json() + r.to_text());
+  }
+  const std::uint64_t artifact_simulated = artifact_store.stats().simulated;
+
   for (const int threads : {1, 4}) {
     core::ProfileStore store;
     Session session(test_options(threads), &store);
     const std::vector<Result> results = session.run_many(batch);
     ASSERT_EQ(results.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(results[i].to_json(), reference[i])
+      EXPECT_EQ(results[i].to_json() + results[i].to_text(), reference[i])
           << to_string(batch[i].kind) << " at threads=" << threads;
     }
     EXPECT_EQ(session.stats().specs_run, batch.size());
     EXPECT_EQ(session.stats().specs_failed, 0U);
+
+    Session warm(test_options(threads), &artifact_store);
+    const std::vector<Result> rendered = warm.run_many(artifacts);
+    ASSERT_EQ(rendered.size(), artifacts.size());
+    for (std::size_t i = 0; i < artifacts.size(); ++i) {
+      EXPECT_EQ(rendered[i].to_json() + rendered[i].to_text(), artifact_reference[i])
+          << artifacts[i].artifact << " at threads=" << threads;
+    }
+    EXPECT_EQ(artifact_store.stats().simulated, artifact_simulated)
+        << "artifacts re-run at threads=" << threads << " must keep their content keys";
   }
 }
 

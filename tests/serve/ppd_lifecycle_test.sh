@@ -10,13 +10,19 @@
 #      restarted daemon replaces the socket, quarantines the corrupt entry
 #      and still serves the correct bytes;
 #   4. an injected connection-read fault (PP_FAULTS=serve.read:err@1) on
-#      the daemon is survived by the client's retries.
+#      the daemon is survived by the client's retries;
+#   5. paper artifacts are ordinary specs: bench_table1, `ppctl run` and
+#      `ppctl run --connect` print the same bytes, warm repeats simulate
+#      nothing, and an artifact over its budget or past its deadline is a
+#      structured failure (exit 3) that leaves the daemon serving.
 #
-# usage: ppd_lifecycle_test.sh <ppd-binary> <ppctl-binary>
+# usage: ppd_lifecycle_test.sh <ppd-binary> <ppctl-binary> <bench_table1-binary>
 set -u
 
 PPD=$1
 PPCTL=$2
+BENCH_TABLE1=$3
+SPECS=$(cd "$(dirname "$0")/../../examples/specs" && pwd)
 
 TMP=$(mktemp -d)
 DPID=""
@@ -195,6 +201,43 @@ grep -q 'injected connection-read failure' "$TMP/daemon4.err" \
   || fail "serve.read fault never fired on the daemon"
 kill -TERM "$DPID"
 wait "$DPID" || fail "faulted daemon did not drain cleanly"
+DPID=""
+
+# ---- 6. paper artifacts through the same path as every spec ----
+ART_CACHE="$TMP/artifact-cache"
+PROFILE_CACHE="$ART_CACHE" "$BENCH_TABLE1" > "$TMP/t1_bench.out" 2> "$TMP/t1_bench.err" \
+  || fail "bench_table1 failed: $(cat "$TMP/t1_bench.err")"
+PROFILE_CACHE="$ART_CACHE" "$PPCTL" run "$SPECS/table1.json" \
+  > "$TMP/t1_direct.out" 2> "$TMP/t1_direct.err" || fail "ppctl run table1.json failed"
+diff -u "$TMP/t1_bench.out" "$TMP/t1_direct.out" || fail "ppctl table1 differs from bench_table1"
+grep -q 'profile store: simulated=0 ' "$TMP/t1_direct.err" \
+  || fail "ppctl table1 missed the bench's cache: $(cat "$TMP/t1_direct.err")"
+
+PP_RUN_BUDGET=1 "$PPCTL" run "$SPECS/fig4.json" > "$TMP/fig4_budget.out" 2> "$TMP/fig4_budget.err"
+rc=$?
+[ "$rc" -eq 3 ] || fail "over-budget fig4 exited $rc, want 3: $(cat "$TMP/fig4_budget.err")"
+grep -q 'ERROR budget_exceeded' "$TMP/fig4_budget.out" || fail "over-budget fig4 printed no error"
+
+PROFILE_CACHE="$ART_CACHE" "$PPD" --socket "$SOCK" 2> "$TMP/daemon5.err" &
+DPID=$!
+wait_ready || fail "artifact daemon never became ready"
+for i in 1 2; do
+  "$PPCTL" run --connect "$SOCK" "$SPECS/table1.json" > "$TMP/t1_served$i.out" \
+    2> "$TMP/t1_served$i.err" || fail "served table1 run $i failed"
+  diff -u "$TMP/t1_bench.out" "$TMP/t1_served$i.out" || fail "served table1 $i differs from bench"
+  grep -q 'profile store: simulated=0 ' "$TMP/t1_served$i.err" \
+    || fail "served table1 $i was not warm: $(cat "$TMP/t1_served$i.err")"
+done
+"$PPCTL" run --connect "$SOCK" --deadline-ms 1 "$SPECS/fig4.json" \
+  > "$TMP/fig4_deadline.out" 2> "$TMP/fig4_deadline.err"
+rc=$?
+[ "$rc" -eq 3 ] || fail "deadlined fig4 exited $rc, want 3: $(cat "$TMP/fig4_deadline.err")"
+grep -q 'budget_exceeded' "$TMP/fig4_deadline.out" || fail "deadlined fig4 printed no error"
+"$PPCTL" stat --connect "$SOCK" > "$TMP/stat5.out" 2>&1 \
+  || fail "daemon stopped answering after a deadlined artifact"
+grep -q 'deadline_refused=1' "$TMP/stat5.out" || fail "deadline not counted: $(cat "$TMP/stat5.out")"
+kill -TERM "$DPID"
+wait "$DPID" || fail "artifact daemon did not drain cleanly"
 DPID=""
 
 echo "ppd lifecycle: OK"

@@ -3,8 +3,9 @@
 // Experiments are data: a JSON ExperimentSpec file fully describes machine
 // knobs, flows, placement, windows, seeds and what to compute, and ppctl
 // executes any such file (or builds one from flags) and prints text, CSV or
-// JSON. Specs with an "artifact" field reproduce the corresponding bench
-// binary's stdout byte-identically. See docs/api.md for the schema.
+// JSON. A spec with an "artifact" field runs like any other; its text form
+// is the corresponding bench binary's stdout, byte for byte. See docs/api.md
+// for the schema.
 //
 //   ppctl run <spec.json>...      execute spec files (batched, deduped)
 //   ppctl sweep  --flows T,..     SYN-sweep each listed flow type
@@ -52,7 +53,6 @@
 #include "api/spec.hpp"
 #include "base/fault.hpp"
 #include "base/strings.hpp"
-#include "figures.hpp"
 
 namespace {
 
@@ -311,33 +311,18 @@ int transport_failure(const api::Client& client, const Status& st) {
 }
 
 /// Daemon-mode run_specs: each spec becomes one framed request to the ppd
-/// at cli.connect; bodies print verbatim (byte-identical to a direct run)
-/// and each response's store delta prints in the familiar stderr format.
-/// Artifact specs go first, matching the direct path's ordering.
+/// at cli.connect, in argument order; bodies print verbatim (byte-identical
+/// to a direct run) and each response's store delta prints in the familiar
+/// stderr format.
 int run_specs_connected(const CliOptions& cli, const std::vector<api::ExperimentSpec>& specs) {
   api::Client client(client_options(cli));
   const char* fmt = cli.format == Format::kText ? "text"
                     : cli.format == Format::kCsv ? "csv"
                                                  : "json";
-  std::vector<const api::ExperimentSpec*> ordered;
-  for (const api::ExperimentSpec& s : specs) {
-    if (!s.artifact.empty()) ordered.push_back(&s);
-  }
-  for (const api::ExperimentSpec& s : specs) {
-    if (s.artifact.empty()) ordered.push_back(&s);
-  }
   std::size_t failed = 0;
-  for (const api::ExperimentSpec* spec : ordered) {
-    const bool artifact = !spec->artifact.empty();
-    if (artifact && cli.format != Format::kText) {
-      std::fprintf(stderr,
-                   "ppctl: note: artifact \"%s\" always prints the bench's text output; "
-                   "--format does not apply\n",
-                   spec->artifact.c_str());
-    }
+  for (const api::ExperimentSpec& spec : specs) {
     api::Reply reply;
-    const Status st =
-        client.run(spec->to_json(), artifact ? "text" : fmt, cli.deadline_ms, reply);
+    const Status st = client.run(spec.to_json(), fmt, cli.deadline_ms, reply);
     if (!st.ok()) return transport_failure(client, st);
     if (reply.error.has_value()) {
       std::fprintf(stderr, "ppctl: daemon refused spec: %s at %s: %s\n",
@@ -368,28 +353,10 @@ int cmd_stat(const CliOptions& cli) {
 
 int run_specs(const CliOptions& cli, std::vector<api::ExperimentSpec> specs) {
   if (cli.connected) return run_specs_connected(cli, specs);
-  // Artifact specs render canned bench stdout (byte-identical to the bench
-  // binary, always text — so they print first, whatever the argument
-  // order); generic specs execute through one Session as a deduped batch.
-  std::vector<api::ExperimentSpec> generic;
-  for (const api::ExperimentSpec& spec : specs) {
-    if (spec.artifact.empty()) {
-      generic.push_back(spec);
-      continue;
-    }
-    if (cli.format != Format::kText) {
-      std::fprintf(stderr,
-                   "ppctl: note: artifact \"%s\" always prints the bench's text output; "
-                   "--format does not apply\n",
-                   spec.artifact.c_str());
-    }
-    const int rc = pp::bench::run_artifact(spec, cli.session);
-    if (rc != 0) return rc < 0 ? fail("unknown artifact \"" + spec.artifact + "\"") : rc;
-  }
-  if (generic.empty()) return 0;
-
+  // Every spec executes through one Session as a deduped batch and prints
+  // in argument order.
   api::Session session(cli.session);
-  const std::vector<api::Result> results = session.run_many(generic);
+  const std::vector<api::Result> results = session.run_many(specs);
   std::size_t failed = 0;
   for (const api::Result& r : results) {
     if (!r.ok()) ++failed;

@@ -371,8 +371,7 @@ std::vector<Diagnostic> lint_tree(const Options& opt) {
 
   // src/ headers include each other as "dir/name.hpp" relative to src/;
   // bench/tools headers resolve against the repo root, src/, and bench/
-  // (ppctl/ppd are built with the bench include dir for the artifact
-  // runners).
+  // (the bench binaries and examples include bench/common.hpp).
   const std::vector<std::string> include_dirs = {
       (root / "src").string(), root.string(), (root / "bench").string()};
 
