@@ -1,77 +1,4 @@
-// Figure 10: the benefit of contention-aware scheduling. For several 12-flow
-// combinations, measure the average per-flow drop under the worst and best
-// flow-to-socket placements; the gap bounds what contention-aware scheduling
-// could buy. The paper's headline: 2% for realistic mixes (6 MON + 6 FW),
-// 6% for the adversarial 6 SYN_MAX + 6 FW mix.
-//
-// Each combination's placement enumeration fans out over SWEEP_THREADS host
-// threads through the ProfileStore (every (placement, seed) run is an
-// independent scenario); aggregation stays in enumeration order, so the
-// study is bit-identical at any thread count.
-#include "base/strings.hpp"
+// The "fig10" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
 
-namespace {
-
-std::vector<pp::core::FlowSpec> combo(std::initializer_list<std::pair<pp::core::FlowType, int>> parts) {
-  std::vector<pp::core::FlowSpec> flows;
-  std::uint64_t seed = 1;
-  for (const auto& [type, count] : parts) {
-    for (int i = 0; i < count; ++i) flows.push_back(pp::core::FlowSpec::of(type, seed++));
-  }
-  return flows;
-}
-
-}  // namespace
-
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng;
-  bench::header("Figure 10", "best vs worst flow-to-core placement", eng.scale);
-
-  const struct {
-    const char* name;
-    std::vector<FlowSpec> flows;
-  } combos[] = {
-      {"6 MON + 6 FW", combo({{FlowType::kMon, 6}, {FlowType::kFw, 6}})},
-      {"6 IP + 6 MON", combo({{FlowType::kIp, 6}, {FlowType::kMon, 6}})},
-      {"6 MON + 6 RE", combo({{FlowType::kMon, 6}, {FlowType::kRe, 6}})},
-      {"6 VPN + 6 FW", combo({{FlowType::kVpn, 6}, {FlowType::kFw, 6}})},
-      {"3 IP + 3 MON + 3 RE + 3 FW",
-       combo({{FlowType::kIp, 3}, {FlowType::kMon, 3}, {FlowType::kRe, 3}, {FlowType::kFw, 3}})},
-      {"6 SYN_MAX + 6 FW", combo({{FlowType::kSynMax, 6}, {FlowType::kFw, 6}})},
-  };
-
-  TextTable a({"combination", "best placement avg drop (%)", "worst placement avg drop (%)",
-               "scheduling benefit (points)", "placements evaluated"});
-  const PlacementStudy* mon_fw_study = nullptr;
-  static PlacementStudy studies[std::size(combos)];
-  for (std::size_t i = 0; i < std::size(combos); ++i) {
-    studies[i] = eng.placement.evaluate(combos[i].flows);
-    const PlacementStudy& s = studies[i];
-    a.add_row({combos[i].name, pp::strformat("%.2f", s.best.avg_drop_pct),
-               pp::strformat("%.2f", s.worst.avg_drop_pct),
-               pp::strformat("%.2f", s.worst.avg_drop_pct - s.best.avg_drop_pct),
-               std::to_string(s.placements_evaluated)});
-    if (std::string(combos[i].name) == "6 MON + 6 FW") mon_fw_study = &studies[i];
-  }
-  bench::print_table("Figure 10(a): average drop under best/worst placement:", a);
-
-  if (mon_fw_study != nullptr) {
-    TextTable b({"flow", "best placement drop (%)", "worst placement drop (%)"});
-    const auto& flows = combos[0].flows;
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      b.add_numeric_row(std::string(to_string(flows[i].type)) + " #" + std::to_string(i),
-                        {mon_fw_study->best.per_flow_drop[i],
-                         mon_fw_study->worst.per_flow_drop[i]},
-                        1);
-    }
-    bench::print_table("Figure 10(b): per-flow drop for the 6 MON + 6 FW combination:", b);
-    std::printf(
-        "Paper: worst = all 6 MON on one socket (each ~27%%); best = 3+3 split\n"
-        "(each ~21%%); overall gap ~2%%. Adversarial SYN_MAX mix gap ~6%%.\n");
-  }
-  eng.print_store_stats("fig10");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig10"); }

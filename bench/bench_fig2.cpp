@@ -1,63 +1,4 @@
-// Figure 2: the effect of resource contention.
-//  (a) per-scenario drop: each target type X co-runs with 5 flows of type Y;
-//  (b) average drop per target type across all 5 scenarios.
+// The "fig2" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
 
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng;
-  bench::header("Figure 2", "contention-induced drop for all 25 pairwise scenarios",
-                eng.scale);
-  const int seeds = eng.solo.seeds();
-
-  // The whole 5x5 grid — every (target, competitor, seed) cell plus the
-  // five solo baselines — as one scenario fan-out.
-  std::vector<Scenario> jobs;
-  for (const FlowType target : kRealisticTypes) {
-    for (const Scenario& s : eng.solo.plan(FlowSpec::of(target))) jobs.push_back(s);
-    for (const FlowType comp : kRealisticTypes) {
-      for (int s = 0; s < seeds; ++s) {
-        jobs.push_back(
-            eng.pairwise_scenario(target, comp, static_cast<std::uint64_t>(s + 1) * 6151));
-      }
-    }
-  }
-  const auto runs = eng.store().get_or_run_many(jobs, eng.threads());
-  const std::size_t per_target = static_cast<std::size_t>(seeds) * 6;  // solo + 5 cells
-
-  TextTable a({"target", "5 IP co-runners", "5 MON co-runners", "5 FW co-runners",
-               "5 RE co-runners", "5 VPN co-runners"});
-  std::vector<double> avg;
-  for (std::size_t t = 0; t < 5; ++t) {
-    const std::size_t base = t * per_target;
-    const std::vector<std::shared_ptr<const ScenarioResult>> solo_runs(
-        runs.begin() + static_cast<std::ptrdiff_t>(base),
-        runs.begin() + static_cast<std::ptrdiff_t>(base + static_cast<std::size_t>(seeds)));
-    const FlowMetrics solo = SoloProfiler::merge_plan(solo_runs);
-
-    std::vector<double> row;
-    double sum = 0;
-    for (std::size_t c = 0; c < 5; ++c) {
-      const std::size_t cell = base + static_cast<std::size_t>(seeds) * (1 + c);
-      const std::vector<std::shared_ptr<const ScenarioResult>> cell_runs(
-          runs.begin() + static_cast<std::ptrdiff_t>(cell),
-          runs.begin() + static_cast<std::ptrdiff_t>(cell + static_cast<std::size_t>(seeds)));
-      const double drop = drop_pct(solo, bench::pairwise_outcome(cell_runs).target);
-      row.push_back(drop);
-      sum += drop;
-    }
-    a.add_numeric_row(to_string(kRealisticTypes[t]), row, 1);
-    avg.push_back(sum / 5.0);
-  }
-  bench::print_table("Figure 2(a): performance drop (%) per scenario:", a);
-
-  TextTable b({"target", "average drop (%)", "paper (%)"});
-  const double paper_avg[] = {18.81, 20.86, 4.65, 6.34, 9.84};
-  for (std::size_t i = 0; i < 5; ++i) {
-    b.add_numeric_row(to_string(kRealisticTypes[i]), {avg[i], paper_avg[i]}, 2);
-  }
-  bench::print_table("Figure 2(b): average drop per target type:", b);
-  eng.print_store_stats("fig2");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig2"); }

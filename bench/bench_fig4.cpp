@@ -1,5 +1,4 @@
-// Figure 4 bench binary: the "fig4" artifact spec run through api::Session,
-// exactly as `ppctl run examples/specs/fig4.json` and ppd run it.
+// The "fig4" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
 
-int main() { return pp::bench::artifact_main("fig4", pp::api::ExperimentKind::kSweep); }
+int main() { return pp::bench::artifact_main("fig4"); }

@@ -1,52 +1,4 @@
-// Figure 5: merge of Figures 2(a) and 4(c) — each type's drop when co-running
-// with SYN flows (curves) and with realistic flows (individual points), both
-// plotted against the competitors' measured cache refs/sec. The paper's key
-// evidence that damage tracks competing refs/sec, not competitor type.
-#include <cmath>
-
+// The "fig5" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
 
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng;
-  bench::header("Figure 5", "SYN curves vs realistic-competitor points, same refs/sec axis",
-                eng.scale);
-
-  const auto levels = SweepProfiler::default_levels(eng.scale);
-  std::vector<FlowSpec> targets;
-  for (const FlowType t : kRealisticTypes) targets.push_back(FlowSpec::of(t));
-
-  // All five SYN sweeps and all 25 realistic-competitor cells fan out
-  // through the store (the sweeps bring their solo baselines with them).
-  const std::vector<SweepResult> sweeps =
-      eng.sweep.sweep_many(targets, ContentionMode::kBoth, levels);
-  std::vector<Scenario> cells;
-  for (const FlowType target : kRealisticTypes) {
-    for (const FlowType comp : kRealisticTypes) {
-      cells.push_back(eng.pairwise_scenario(target, comp, 1));
-    }
-  }
-  const auto cell_runs = eng.store().get_or_run_many(cells, eng.threads());
-
-  for (std::size_t t = 0; t < 5; ++t) {
-    const FlowType target = kRealisticTypes[t];
-    const FlowMetrics solo = eng.solo.profile(target);
-    SeriesChart chart("competing L3 refs/sec (M)",
-                      {std::string(to_string(target)) + "(S) synthetic",
-                       std::string(to_string(target)) + "(R) realistic"});
-    for (const SweepLevel& l : sweeps[t].levels) {
-      chart.add_point(l.competing_refs_per_sec / 1e6, {l.drop_pct, std::nan("")});
-    }
-    for (std::size_t c = 0; c < 5; ++c) {
-      const ScenarioResult& run = *cell_runs[t * 5 + c];
-      double refs = 0;
-      for (std::size_t i = 1; i < run.size(); ++i) refs += run[i].refs_per_sec();
-      chart.add_point(refs / 1e6, {std::nan(""), drop_pct(solo, run[0])});
-    }
-    bench::print_chart(
-        (std::string("Figure 5, target ") + to_string(target) + ":").c_str(), chart);
-  }
-  eng.print_store_stats("fig5");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig5"); }

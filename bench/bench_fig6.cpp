@@ -1,38 +1,4 @@
-// Figure 6: estimated maximum performance drop (Equation 1, kappa = 1) as a
-// function of solo cache hits/sec, for delta in {30, 43.75, 60} ns, plus the
-// measured solo hits/sec of each realistic flow type as annotated points.
-#include <cmath>
-
+// The "fig6" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
-#include "model/cache_model.hpp"
 
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng(seeds_for(scale_from_env()));
-  bench::header("Figure 6", "Equation-1 worst-case drop vs solo hits/sec", eng.scale);
-
-  SeriesChart chart("solo cache hits/sec (M)",
-                    {"delta=60ns", "delta=43.75ns", "delta=30ns"});
-  for (double h = 0; h <= 60e6; h += 2.5e6) {
-    chart.add_point(h / 1e6, {model::worst_case_drop(h, 60e-9) * 100.0,
-                              model::worst_case_drop(h, 43.75e-9) * 100.0,
-                              model::worst_case_drop(h, 30e-9) * 100.0});
-  }
-  bench::print_chart("Worst-case drop (%) vs solo hits/sec:", chart);
-
-  TextTable points({"Flow", "solo hits/sec (M)", "worst-case drop % (delta=43.75ns)",
-                    "paper's annotated point (%)"});
-  const double paper_points[] = {47, 48, 9, 19, 24};
-  for (std::size_t i = 0; i < 5; ++i) {
-    const FlowType t = kRealisticTypes[i];
-    const double h = eng.solo.profile(t).hits_per_sec();
-    points.add_numeric_row(to_string(t),
-                           {h / 1e6, model::worst_case_drop(h, 43.75e-9) * 100.0,
-                            paper_points[i]},
-                           1);
-  }
-  bench::print_table("Measured per-app points:", points);
-  eng.print_store_stats("fig6");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig6"); }

@@ -1,94 +1,4 @@
-// Figure 7: measured vs model-estimated hit-to-miss conversion rate of a MON
-// flow sharing the cache with SYN competitors (the Figure 3(a) placement),
-// plus the measured conversion of MON's individual functions:
-// flow_statistics, radix_ip_lookup, check_ip_header, skb_recycle.
-#include <cmath>
-
+// The "fig7" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
-#include "model/cache_model.hpp"
 
-namespace {
-
-/// Hit-to-miss conversion rate of one counter domain, per packet, relative
-/// to the solo run: kappa = 1 - hits_pp(corun) / hits_pp(solo).
-double conversion(const pp::sim::Counters& solo, std::uint64_t solo_packets,
-                  const pp::sim::Counters& corun, std::uint64_t corun_packets) {
-  const double solo_hits =
-      static_cast<double>(solo.l3_hits()) / static_cast<double>(solo_packets);
-  const double corun_hits =
-      static_cast<double>(corun.l3_hits()) / static_cast<double>(corun_packets);
-  if (solo_hits <= 0) return 0.0;
-  const double kappa = 1.0 - corun_hits / solo_hits;
-  return std::max(0.0, std::min(1.0, kappa)) * 100.0;
-}
-
-const pp::sim::Counters* find_element(const pp::core::FlowMetrics& m, const std::string& name,
-                                      std::uint64_t* packets) {
-  for (const auto& e : m.elements) {
-    if (e.name == name) {
-      *packets = m.delta.packets;
-      return &e.delta;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng;
-  bench::header("Figure 7", "measured vs modeled hit-to-miss conversion (MON)", eng.scale);
-
-  const FlowMetrics mon_solo = eng.solo.profile(FlowType::kMon);
-  const SweepResult r = eng.sweep.sweep(FlowSpec::of(FlowType::kMon),
-                                        ContentionMode::kCacheOnly,
-                                        SweepProfiler::default_levels(eng.scale));
-
-  // Appendix model parameters: the shared cache in lines; MON's cacheable
-  // chunks approximated by its flow table (the uniformly accessed structure
-  // the model describes best, as the paper notes).
-  model::CacheModelParams params;
-  params.cache_lines = eng.tb.machine_config().l3.num_lines();
-  params.target_chunks =
-      static_cast<double>(eng.tb.sizes().flow_buckets) / 2.0;  // 32B entries, 2/line
-  params.target_hits_per_sec = mon_solo.hits_per_sec();
-
-  SeriesChart chart("competing L3 refs/sec (M)",
-                    {"MON (measured)", "MON (estimated)", "radix_ip_lookup",
-                     "flow_statistics", "check_ip_header", "skb_recycle"});
-  const struct {
-    const char* element;
-    const char* label;
-  } functions[] = {{"lookup", "radix_ip_lookup"},
-                   {"stats", "flow_statistics"},
-                   {"check", "check_ip_header"},
-                   {"skb_recycle", "skb_recycle"}};
-
-  for (const SweepLevel& level : r.levels) {
-    params.competing_refs_per_sec = level.competing_refs_per_sec;
-    std::vector<double> ys;
-    ys.push_back(conversion(mon_solo.delta, mon_solo.delta.packets, level.target.delta,
-                            level.target.delta.packets));
-    ys.push_back(model::conversion_rate(params) * 100.0);
-    for (const auto& fn : functions) {
-      std::uint64_t solo_pkts = 0;
-      std::uint64_t corun_pkts = 0;
-      const sim::Counters* s = find_element(mon_solo, fn.element, &solo_pkts);
-      const sim::Counters* c = find_element(level.target, fn.element, &corun_pkts);
-      ys.push_back(s != nullptr && c != nullptr
-                       ? conversion(*s, solo_pkts, *c, corun_pkts)
-                       : std::nan(""));
-    }
-    chart.add_point(level.competing_refs_per_sec / 1e6, ys);
-  }
-  bench::print_chart("Conversion rate (%) vs competing refs/sec:", chart);
-
-  std::printf(
-      "Expected shape (paper): sharp rise then plateau; flow_statistics\n"
-      "tracks the model (uniform access), check_ip_header and skb_recycle\n"
-      "stay near zero (per-packet-hot lines), radix_ip_lookup in between.\n");
-  eng.print_store_stats("fig7");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig7"); }

@@ -1,79 +1,4 @@
-// Figure 8: prediction errors for the 25 pairwise workloads.
-//  (a) our prediction (competitors assumed at their solo refs/sec);
-//  (b) prediction with perfect knowledge of the measured competing refs/sec;
-//  (c) average absolute error per target type, both variants.
-#include <cmath>
-
+// The "fig8" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
 
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng;
-  bench::header("Figure 8", "prediction error per pairwise scenario", eng.scale);
-  const int seeds = eng.solo.seeds();
-
-  // Offline profiling (solo + SYN sweep per type) and the measured 5x5
-  // grid, all phrased as scenarios: the sweeps fan out via sweep_many, the
-  // grid cells in a second store request.
-  std::vector<FlowSpec> targets;
-  for (const FlowType t : kRealisticTypes) targets.push_back(FlowSpec::of(t));
-  (void)eng.sweep.sweep_many(targets, ContentionMode::kBoth,
-                             SweepProfiler::default_levels(eng.scale));
-  std::vector<Scenario> cells;
-  for (const FlowType target : kRealisticTypes) {
-    for (const FlowType comp : kRealisticTypes) {
-      for (int s = 0; s < seeds; ++s) {
-        cells.push_back(
-            eng.pairwise_scenario(target, comp, static_cast<std::uint64_t>(s + 1) * 2741));
-      }
-    }
-  }
-  const auto cell_runs = eng.store().get_or_run_many(cells, eng.threads());
-
-  TextTable a({"target", "5 IP", "5 MON", "5 FW", "5 RE", "5 VPN"});
-  TextTable b({"target", "5 IP", "5 MON", "5 FW", "5 RE", "5 VPN"});
-  TextTable c({"target", "avg |error| (ours)", "avg |error| (perfect knowledge)",
-               "paper ours", "paper perfect"});
-  const double paper_ours[] = {1.96, 1.92, 0.44, 1.97, 1.00};
-  const double paper_known[] = {1.39, 1.41, 0.35, 1.44, 0.69};
-
-  for (std::size_t ti = 0; ti < 5; ++ti) {
-    const FlowType target = kRealisticTypes[ti];
-    const FlowMetrics solo = eng.solo.profile(target);
-    // One curve aggregation per target row (the five cells share it); the
-    // competitor-refs summation below mirrors predict() exactly.
-    const SweepCurve curve = eng.predictor.curve(target);
-    std::vector<double> row_a;
-    std::vector<double> row_b;
-    double abs_a = 0;
-    double abs_b = 0;
-    for (std::size_t ci = 0; ci < 5; ++ci) {
-      const FlowType comp = kRealisticTypes[ci];
-      const std::size_t cell = (ti * 5 + ci) * static_cast<std::size_t>(seeds);
-      const std::vector<std::shared_ptr<const ScenarioResult>> runs(
-          cell_runs.begin() + static_cast<std::ptrdiff_t>(cell),
-          cell_runs.begin() + static_cast<std::ptrdiff_t>(cell + static_cast<std::size_t>(seeds)));
-      const bench::PairwiseOutcome outcome = bench::pairwise_outcome(runs);
-      const double actual = drop_pct(solo, outcome.target);
-      const double comp_solo_refs = eng.predictor.solo_refs_per_sec(comp);
-      double solo_refs_sum = 0;
-      for (int c = 0; c < 5; ++c) solo_refs_sum += comp_solo_refs;
-      const double ours = curve.drop_at(solo_refs_sum);
-      const double known = curve.drop_at(outcome.competing_refs_per_sec);
-      row_a.push_back(ours - actual);
-      row_b.push_back(known - actual);
-      abs_a += std::abs(ours - actual);
-      abs_b += std::abs(known - actual);
-    }
-    a.add_numeric_row(to_string(target), row_a, 2);
-    b.add_numeric_row(to_string(target), row_b, 2);
-    c.add_numeric_row(to_string(target),
-                      {abs_a / 5.0, abs_b / 5.0, paper_ours[ti], paper_known[ti]}, 2);
-  }
-  bench::print_table("Figure 8(a): signed error, our prediction (points):", a);
-  bench::print_table("Figure 8(b): signed error, perfect knowledge of competition:", b);
-  bench::print_table("Figure 8(c): average absolute error per target type:", c);
-  eng.print_store_stats("fig8");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig8"); }

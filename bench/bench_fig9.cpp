@@ -1,51 +1,4 @@
-// Figure 9: prediction for a mixed workload — 2 MON, 2 VPN, 1 FW, 1 RE per
-// processor (12 flows total). Measured vs predicted drop per flow, and the
-// absolute error (the paper's max error on this mix is 1.26%).
-#include <cmath>
-
+// The "fig9" artifact spec through api::Session, as `ppctl run` and ppd run it.
 #include "common.hpp"
 
-int main() {
-  using namespace pp;
-  using namespace pp::core;
-  bench::Engine eng;
-  bench::header("Figure 9", "mixed workload: 2 MON + 2 VPN + 1 FW + 1 RE per socket",
-                eng.scale);
-
-  // One socket's mix; both sockets carry the same combination.
-  const FlowType socket_mix[] = {FlowType::kMon, FlowType::kMon, FlowType::kVpn,
-                                 FlowType::kVpn, FlowType::kFw,  FlowType::kRe};
-
-  RunConfig cfg = eng.tb.configure({});
-  for (int sock = 0; sock < 2; ++sock) {
-    for (int i = 0; i < 6; ++i) {
-      cfg.flows.push_back(
-          FlowSpec::of(socket_mix[i], static_cast<std::uint64_t>(sock * 6 + i + 1)));
-      cfg.placement.push_back(FlowPlacement{sock * 6 + i, -1});
-    }
-  }
-  const ScenarioResult& run = *eng.store().get_or_run(Scenario::of(eng.tb, cfg));
-
-  TextTable t({"flow", "measured drop (%)", "predicted drop (%)", "absolute error"});
-  double max_err = 0;
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const FlowType target = cfg.flows[i].type;
-    const int socket = cfg.placement[i].core / 6;
-    // Competitors: the other five flows on the same socket.
-    std::vector<FlowType> comps;
-    for (std::size_t j = 0; j < cfg.flows.size(); ++j) {
-      if (j != i && cfg.placement[j].core / 6 == socket) comps.push_back(cfg.flows[j].type);
-    }
-    const double actual = drop_pct(eng.solo.profile(target), run[i]);
-    const double predicted = eng.predictor.predict(target, comps);
-    const double err = std::abs(predicted - actual);
-    max_err = std::max(max_err, err);
-    t.add_numeric_row(std::string(to_string(target)) + " (core " +
-                          std::to_string(cfg.placement[i].core) + ")",
-                      {actual, predicted, err}, 2);
-  }
-  bench::print_table("Figure 9: measured vs predicted drop per flow:", t);
-  std::printf("max absolute error: %.2f points (paper: 1.26)\n", max_err);
-  eng.print_store_stats("fig9");
-  return 0;
-}
+int main() { return pp::bench::artifact_main("fig9"); }

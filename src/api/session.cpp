@@ -5,12 +5,11 @@
 #include <span>
 #include <unordered_map>
 
+#include "api/artifacts.hpp"
 #include "api/json.hpp"
 #include "base/check.hpp"
-#include "base/env.hpp"
 #include "base/strings.hpp"
 #include "base/table.hpp"
-#include "core/workloads.hpp"
 
 namespace pp::api {
 
@@ -62,8 +61,8 @@ namespace {
 
 using Runs = std::vector<std::shared_ptr<const core::ScenarioResult>>;
 
-/// One spec's plan: its scenarios plus how to aggregate their results into
-/// the Result's data sections. `head` carries the identity fields, and the
+/// One spec's plan: its scenarios plus how to append their aggregate to the
+/// Result's data sections. `head` carries the identity fields, and the
 /// error when planning itself failed (then there is nothing to run).
 struct SpecPlan {
   Result head;
@@ -77,7 +76,7 @@ struct SpecPlan {
 void fail(Result& res, StatusKind kind, std::string site, std::string detail) {
   res.flows.clear();
   res.sweeps.clear();
-  res.study.reset();
+  res.studies.clear();
   res.error = Error{kind, std::move(site), std::move(detail)};
 }
 
@@ -93,55 +92,28 @@ void guarded(Result& res, Fn&& body) {
   }
 }
 
-/// The generic specs an artifact stands for (empty = unknown artifact):
-/// fig4 sweeps the five realistic flows under each of Figure 3's three
-/// contention placements; table1 solo-profiles them over seeds_for(scale)
-/// seeds. These are the schedules the bench binaries always ran, so the
-/// artifacts keep their ProfileStore content keys.
-[[nodiscard]] std::vector<ExperimentSpec> artifact_specs(const ExperimentSpec& spec,
-                                                         Scale scale) {
-  ExperimentSpec part = spec;
-  part.name.clear();
-  part.artifact.clear();
-  part.flows.clear();
-  for (const core::FlowType t : core::kRealisticTypes) part.flows.push_back(core::FlowSpec::of(t));
-  std::vector<ExperimentSpec> out;
-  if (spec.artifact == "fig4") {
-    part.kind = ExperimentKind::kSweep;
-    for (const core::ContentionMode m : {core::ContentionMode::kCacheOnly,
-                                         core::ContentionMode::kMemCtrlOnly,
-                                         core::ContentionMode::kBoth}) {
-      part.mode = m;
-      out.push_back(part);
-    }
-  } else if (spec.artifact == "table1") {
-    part.kind = ExperimentKind::kSolo;
-    if (part.seeds == 0) part.seeds = seeds_for(scale);
-    out.push_back(part);
-  }
-  return out;
-}
-
 [[nodiscard]] SpecPlan plan_spec(const ExperimentSpec& spec, const SessionOptions& opts,
-                                 core::ProfileStore& store);
+                                 core::ProfileStore& store, bool mix_only = false);
 
-/// An artifact's plan: its parts' plans concatenated, so the whole figure
-/// is one store request; the assembler fills each part from its own slice
-/// and appends the part's sections to the artifact's Result.
+/// An artifact's plan: its parts' plans (the artifact table's row)
+/// concatenated, so the whole figure is one store request; each part's
+/// assembler appends its sections to the artifact's Result from its own
+/// slice.
 void plan_artifact(SpecPlan& p, const ExperimentSpec& spec, const SessionOptions& opts,
                    core::ProfileStore& store) {
   Result& res = p.head;
-  const std::vector<ExperimentSpec> specs = artifact_specs(spec, res.scale);
-  if (specs.empty()) {
+  const Artifact* artifact = find_artifact(spec.artifact);
+  if (artifact == nullptr) {
     fail(res, StatusKind::kInvalidSpec, "session.run",
          "unknown artifact \"" + spec.artifact + "\"");
     return;
   }
+  res.kind = artifact->kind;
   auto parts = std::make_shared<std::vector<SpecPlan>>();
   std::vector<core::Scenario> scenarios;
   std::vector<std::size_t> offset{0};
-  for (const ExperimentSpec& s : specs) {
-    SpecPlan part = plan_spec(s, opts, store);
+  for (const ArtifactPart& a : artifact->parts(spec, res.scale)) {
+    SpecPlan part = plan_spec(a.spec, opts, store, a.mix_only);
     if (part.head.error.has_value()) {
       const Error& e = *part.head.error;
       fail(res, e.kind, e.site, e.detail);
@@ -154,21 +126,17 @@ void plan_artifact(SpecPlan& p, const ExperimentSpec& spec, const SessionOptions
     parts->push_back(std::move(part));
   }
   p.scenarios = std::move(scenarios);
-  res.kind = specs.front().kind;
   res.seeds = parts->front().head.seeds;
   p.assemble = [parts, offset](Result& r, const Runs& runs) {
     for (std::size_t i = 0; i < parts->size(); ++i) {
-      Result part;
-      (*parts)[i].assemble(part, Runs(runs.begin() + static_cast<std::ptrdiff_t>(offset[i]),
-                                      runs.begin() + static_cast<std::ptrdiff_t>(offset[i + 1])));
-      r.flows.insert(r.flows.end(), part.flows.begin(), part.flows.end());
-      r.sweeps.insert(r.sweeps.end(), part.sweeps.begin(), part.sweeps.end());
+      (*parts)[i].assemble(r, Runs(runs.begin() + static_cast<std::ptrdiff_t>(offset[i]),
+                                   runs.begin() + static_cast<std::ptrdiff_t>(offset[i + 1])));
     }
   };
 }
 
 [[nodiscard]] SpecPlan plan_spec(const ExperimentSpec& spec, const SessionOptions& opts,
-                                 core::ProfileStore& store) {
+                                 core::ProfileStore& store, bool mix_only) {
   const SessionOptions eff = apply_spec(spec, opts);
   const int seeds = spec.seeds > 0 ? spec.seeds : default_seeds(eff.scale);
 
@@ -215,28 +183,31 @@ void plan_artifact(SpecPlan& p, const ExperimentSpec& spec, const SessionOptions
       }
       case ExperimentKind::kCorun: {
         // The mix's seed runs, then every flow's solo baseline — one plan,
-        // so the baselines no longer chain after the co-run.
+        // so the baselines no longer chain after the co-run. A mix-only
+        // artifact part stops after the mix.
         p.scenarios = lower_spec(spec, v.tb);
         const std::size_t mix_runs = p.scenarios.size();
-        for (const core::FlowSpec& f : flows) {
-          std::vector<core::Scenario> solo = v.solo.plan(f);
+        for (std::size_t i = 0; i < (mix_only ? 0 : flows.size()); ++i) {
+          std::vector<core::Scenario> solo = v.solo.plan(flows[i]);
           p.scenarios.insert(p.scenarios.end(), std::make_move_iterator(solo.begin()),
                              std::make_move_iterator(solo.end()));
         }
-        p.assemble = [flows, n_seeds, mix_runs](Result& r, const Runs& runs) {
+        p.assemble = [flows, n_seeds, mix_runs, mix_only](Result& r, const Runs& runs) {
           for (std::size_t i = 0; i < flows.size(); ++i) {
             std::vector<core::FlowMetrics> per_seed;
             per_seed.reserve(mix_runs);
             for (std::size_t s = 0; s < mix_runs; ++s) per_seed.push_back((*runs[s])[i]);
-            const std::size_t base = mix_runs + i * n_seeds;
-            const core::FlowMetrics solo = core::SoloProfiler::merge_plan(
-                {runs.begin() + static_cast<std::ptrdiff_t>(base),
-                 runs.begin() + static_cast<std::ptrdiff_t>(base + n_seeds)});
             FlowReport fr;
             fr.spec = flows[i];
             fr.metrics = core::merge_metrics(per_seed);
-            fr.solo_pps = solo.pps();
-            fr.drop_pct = core::drop_pct(solo, fr.metrics);
+            if (!mix_only) {
+              const std::size_t base = mix_runs + i * n_seeds;
+              const core::FlowMetrics solo = core::SoloProfiler::merge_plan(
+                  {runs.begin() + static_cast<std::ptrdiff_t>(base),
+                   runs.begin() + static_cast<std::ptrdiff_t>(base + n_seeds)});
+              fr.solo_pps = solo.pps();
+              fr.drop_pct = core::drop_pct(solo, fr.metrics);
+            }
             r.flows.push_back(std::move(fr));
           }
         };
@@ -247,7 +218,9 @@ void plan_artifact(SpecPlan& p, const ExperimentSpec& spec, const SessionOptions
         const auto levels = core::SweepProfiler::default_levels(eff.scale);
         p.scenarios = v.sweep.plan_many(flows, mode, levels);
         p.assemble = [&v, flows, mode, levels](Result& r, const Runs& runs) {
-          r.sweeps = v.sweep.assemble_many(flows, mode, levels, runs);
+          for (core::SweepResult& s : v.sweep.assemble_many(flows, mode, levels, runs)) {
+            r.sweeps.push_back(std::move(s));
+          }
         };
         break;
       }
@@ -286,7 +259,7 @@ void plan_artifact(SpecPlan& p, const ExperimentSpec& spec, const SessionOptions
         auto plan = std::make_shared<core::PlacementPlan>(v.placement.plan(flows));
         p.scenarios = std::move(plan->scenarios);
         p.assemble = [&v, flows, plan](Result& r, const Runs& runs) {
-          r.study = v.placement.assemble(flows, *plan, runs);
+          r.studies.push_back(v.placement.assemble(flows, *plan, runs));
         };
         break;
       }
@@ -469,7 +442,7 @@ std::string Result::to_json() const {
     }
     j += "\n  ]";
   }
-  if (study.has_value()) {
+  if (!studies.empty()) {
     const auto outcome = [](const core::PlacementOutcome& o) {
       std::string s = "{\"sockets\": [";
       for (std::size_t i = 0; i < o.socket_of_flow.size(); ++i) {
@@ -485,10 +458,23 @@ std::string Result::to_json() const {
       s += "]}";
       return s;
     };
-    j += strformat(",\n  \"placement\": {\n    \"placements_evaluated\": %d,\n",
-                   study->placements_evaluated);
-    j += "    \"best\": " + outcome(study->best) + ",\n";
-    j += "    \"worst\": " + outcome(study->worst) + "\n  }";
+    // One study is the "placement" object; an artifact with several
+    // (fig10) lists them, in part order, as "placements".
+    const auto study_json = [&outcome](const core::PlacementStudy& st, const char* indent) {
+      return strformat("{\n%s  \"placements_evaluated\": %d,\n", indent,
+                       st.placements_evaluated) +
+             indent + "  \"best\": " + outcome(st.best) + ",\n" + indent +
+             "  \"worst\": " + outcome(st.worst) + "\n" + indent + "}";
+    };
+    if (studies.size() == 1) {
+      j += ",\n  \"placement\": " + study_json(studies[0], "  ");
+    } else {
+      j += ",\n  \"placements\": [";
+      for (std::size_t i = 0; i < studies.size(); ++i) {
+        j += (i == 0 ? "\n    " : ",\n    ") + study_json(studies[i], "    ");
+      }
+      j += "\n  ]";
+    }
   }
   j += "\n}\n";
   return j;
@@ -559,102 +545,17 @@ namespace {
     for (const int s : o.socket_of_flow) sockets += strformat("%d", s);
     t.add_row({label, strformat("%.1f", o.avg_drop_pct), sockets});
   };
-  row("best", r.study->best);
-  row("worst", r.study->worst);
+  for (const core::PlacementStudy& st : r.studies) {
+    row("best", st.best);
+    row("worst", st.worst);
+  }
   return t;
 }
 
 [[nodiscard]] TextTable result_table(const Result& r) {
   if (!r.sweeps.empty()) return sweeps_table(r);
-  if (r.study.has_value()) return placement_table(r);
+  if (!r.studies.empty()) return placement_table(r);
   return flows_table(r);
-}
-
-// ---------------------------------------------------------------- artifacts
-//
-// The paper figures as their bench binaries have always printed them: a
-// banner and scale line, then titled text/CSV blocks, all derived from the
-// Result's sections.
-
-[[nodiscard]] std::string figure_header(const char* figure, const char* description,
-                                        Scale scale) {
-  return banner(std::string(figure) + " — " + description) +
-         strformat("scale=%s (set REPRO_SCALE=quick|standard|full)\n\n", pp::to_string(scale));
-}
-
-[[nodiscard]] std::string titled_block(const char* title, const std::string& text,
-                                       const std::string& csv) {
-  return std::string(title) + "\n" + text + "\nCSV:\n" + csv;
-}
-
-[[nodiscard]] const char* fig4_title(core::ContentionMode m) {
-  switch (m) {
-    case core::ContentionMode::kCacheOnly:
-      return "Figure 4(a): contention for the L3 cache only";
-    case core::ContentionMode::kMemCtrlOnly:
-      return "Figure 4(b): contention for the memory controller only";
-    case core::ContentionMode::kBoth:
-      break;
-  }
-  return "Figure 4(c): contention for both resources";
-}
-
-/// Figure 4: one chart per contention placement, each realistic flow's drop
-/// against the competing refs/sec (x = the mean over the flows, levels
-/// aligned by index).
-[[nodiscard]] std::string fig4_text(const Result& r) {
-  std::string out = figure_header(
-      "Figure 4", "drop vs competing L3 refs/sec, per contended resource", r.scale);
-  for (std::size_t first = 0; first < r.sweeps.size();) {
-    std::size_t last = first;
-    std::vector<std::string> names;
-    while (last < r.sweeps.size() && r.sweeps[last].mode == r.sweeps[first].mode) {
-      names.emplace_back(core::to_string(r.sweeps[last++].target));
-    }
-    SeriesChart chart("competing L3 refs/sec (M)", names);
-    for (std::size_t level = 0; level < r.sweeps[first].levels.size(); ++level) {
-      double x = 0;
-      std::vector<double> ys;
-      for (std::size_t i = first; i < last; ++i) {
-        x += r.sweeps[i].levels[level].competing_refs_per_sec / 1e6;
-        ys.push_back(r.sweeps[i].levels[level].drop_pct);
-      }
-      chart.add_point(x / static_cast<double>(last - first), ys);
-    }
-    out += titled_block(fig4_title(r.sweeps[first].mode), chart.to_text(), chart.to_csv()) +
-           "\n";
-    first = last;
-  }
-  return out +
-         "Paper's qualitative result to compare against: the cache dominates\n"
-         "(MON up to ~32% in 4(a)) while the controller alone stays small\n"
-         "(MON <= 6% in 4(b)); 4(c) is essentially 4(a) plus a few points.";
-}
-
-/// Table 1: the solo-run characteristics, measured and as the paper reports.
-[[nodiscard]] std::string table1_text(const Result& r) {
-  const std::vector<std::string> columns = {
-      "Flow", "cycles per instruction", "L3 refs/sec (M)", "L3 hits/sec (M)",
-      "cycles per packet", "L3 refs per packet", "L3 misses per packet", "L2 hits per packet"};
-  TextTable measured(columns);
-  for (const FlowReport& fr : r.flows) {
-    const core::FlowMetrics& m = fr.metrics;
-    measured.add_numeric_row(core::to_string(fr.spec.type),
-                             {m.cpi(), m.refs_per_sec() / 1e6, m.hits_per_sec() / 1e6,
-                              m.cycles_per_packet(), m.refs_per_packet(),
-                              m.misses_per_packet(), m.l2_hits_per_packet()});
-  }
-  TextTable paper(columns);
-  paper.add_numeric_row("IP", {1.33, 25.85, 20.21, 1813, 14.64, 3.19, 18.58});
-  paper.add_numeric_row("MON", {1.43, 27.26, 21.32, 2278, 19.40, 4.23, 19.58});
-  paper.add_numeric_row("FW", {1.63, 2.71, 2.13, 23907, 20.22, 4.29, 56.10});
-  paper.add_numeric_row("RE", {1.18, 18.18, 5.52, 27433, 155.87, 108.51, 45.63});
-  paper.add_numeric_row("VPN", {0.56, 9.45, 7.08, 8679, 25.63, 6.41, 30.71});
-  return figure_header("Table 1", "solo-run characteristics of IP, MON, FW, RE, VPN", r.scale) +
-         titled_block("Measured (this reproduction):", measured.to_text(), measured.to_csv()) +
-         "\n" +
-         titled_block("Paper (Dobrescu et al., Table 1), for comparison:", paper.to_text(),
-                      paper.to_csv());
 }
 
 }  // namespace
@@ -665,13 +566,12 @@ std::string Result::to_text() const {
     return banner(head) + strformat("ERROR %s at %s: %s\n", pp::to_string(error->kind),
                                     error->site.c_str(), error->detail.c_str());
   }
-  if (artifact == "fig4") return fig4_text(*this);
-  if (artifact == "table1") return table1_text(*this);
+  if (const Artifact* a = find_artifact(artifact); a != nullptr) return a->render(*this);
   head += strformat(" (%s, %s fidelity, %d seed%s)", pp::to_string(scale),
                     sim::to_string(fidelity), seeds, seeds == 1 ? "" : "s");
   std::string out = banner(head) + result_table(*this).to_text();
-  if (study.has_value()) {
-    out += strformat("placements evaluated: %d\n", study->placements_evaluated);
+  for (const core::PlacementStudy& st : studies) {
+    out += strformat("placements evaluated: %d\n", st.placements_evaluated);
   }
   return out;
 }

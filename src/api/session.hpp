@@ -57,23 +57,24 @@ struct Error {
 };
 
 /// Structured answer to one spec. Which sections are filled depends on the
-/// kind: flows for solo/corun/predict, sweeps for sweep, study for
-/// placement_search. An artifact fills the sections of the specs it expands
-/// to (fig4: fifteen sweeps; table1: five solo flows), and to_text() renders
-/// them as the paper figure. A failed spec carries `error` and empty
-/// sections — never a half-filled result, never an abort. Serializes to
-/// JSON/text/CSV (schema: docs/api.md; failure semantics: docs/robustness.md).
+/// kind: flows for solo/corun/predict, sweeps for sweep, one study for
+/// placement_search. An artifact concatenates the sections of its parts in
+/// the artifact table's order (api/artifacts.hpp; fig4: fifteen sweeps,
+/// fig10: six studies), and to_text() renders them as the paper figure. A
+/// failed spec carries `error` and empty sections — never a half-filled
+/// result, never an abort. Serializes to JSON/text/CSV (schema: docs/api.md;
+/// failure semantics: docs/robustness.md).
 struct Result {
   ExperimentKind kind = ExperimentKind::kCorun;
   std::string name;
-  std::string artifact;  // "fig4"/"table1" for an artifact spec, "" = generic
+  std::string artifact;  // the artifact's name ("fig4", ...), "" = generic
   Scale scale = Scale::kStandard;
   sim::SimFidelity fidelity = sim::SimFidelity::kExact;
   int seeds = 1;
 
   std::vector<FlowReport> flows;
   std::vector<core::SweepResult> sweeps;
-  std::optional<core::PlacementStudy> study;
+  std::vector<core::PlacementStudy> studies;
 
   std::optional<Error> error;
   [[nodiscard]] bool ok() const { return !error.has_value(); }
@@ -84,8 +85,8 @@ struct Result {
 };
 
 /// The stateless view stack over one store, configured from explicit options
-/// (what the bench engine builds per binary and Session builds per spec —
-/// construction is cheap; all measurement state lives in the store).
+/// (Session builds one per spec — construction is cheap; all measurement
+/// state lives in the store).
 struct ViewStack {
   core::Testbed tb;
   core::SoloProfiler solo;

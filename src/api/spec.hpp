@@ -50,9 +50,10 @@ struct ExperimentSpec {
   /// Optional label echoed into results ("" = unnamed).
   std::string name;
 
-  /// Paper artifact ("fig4", "table1"): Session expands it into the generic
-  /// specs the figure is made of, and Result::to_text renders the figure
-  /// byte-identically to the bench binary. "" = generic.
+  /// Paper artifact ("fig2" ... "fig10", "table1"; the table in
+  /// api/artifacts.hpp fixes each one's kind): Session expands it into the
+  /// generic specs the figure is made of, and Result::to_text renders the
+  /// figure byte-identically to the bench binary. "" = generic.
   std::string artifact;
 
   /// Unset fields inherit the session's configuration (ultimately the

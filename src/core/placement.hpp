@@ -57,7 +57,6 @@ class PlacementEvaluator {
       const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const;
 
   void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
-  [[nodiscard]] int threads() const { return threads_; }
 
  private:
   [[nodiscard]] Scenario placement_scenario(const std::vector<FlowSpec>& flows,

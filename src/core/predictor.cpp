@@ -20,8 +20,6 @@ double ContentionPredictor::solo_refs_per_sec(FlowType t) const {
 
 SweepCurve ContentionPredictor::curve(FlowType t) const { return sweep_result(t).curve; }
 
-FlowMetrics ContentionPredictor::solo_metrics(FlowType t) const { return solo_.profile(t); }
-
 double ContentionPredictor::predict(FlowType target,
                                     const std::vector<FlowType>& competitors) const {
   double refs = 0;

@@ -28,7 +28,6 @@ class ContentionPredictor {
 
   [[nodiscard]] double solo_refs_per_sec(FlowType t) const;
   [[nodiscard]] SweepCurve curve(FlowType t) const;
-  [[nodiscard]] FlowMetrics solo_metrics(FlowType t) const;
 
   /// Step 3: predicted drop (percent) for `target` co-running with
   /// `competitors` (their solo refs/sec are summed).

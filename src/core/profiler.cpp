@@ -49,10 +49,8 @@ FlowMetrics SoloProfiler::merge_plan(
   return merge_metrics(runs);
 }
 
-FlowMetrics SoloProfiler::profile_spec(const FlowSpec& spec) const {
-  return merge_plan(store_->get_or_run_many(plan(spec), host_threads_from_env()));
+FlowMetrics SoloProfiler::profile(FlowType t) const {
+  return merge_plan(store_->get_or_run_many(plan(FlowSpec::of(t)), host_threads_from_env()));
 }
-
-FlowMetrics SoloProfiler::profile(FlowType t) const { return profile_spec(FlowSpec::of(t)); }
 
 }  // namespace pp::core

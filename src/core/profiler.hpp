@@ -29,7 +29,7 @@ class SoloProfiler {
   /// PROFILE_CACHE); tests inject their own for isolation.
   SoloProfiler(Testbed& tb, int seeds, ProfileStore* store = nullptr);
 
-  /// The scenarios behind profile_spec, in seed order. Callers that batch
+  /// The scenarios behind a solo profile, in seed order. Callers that batch
   /// several profiles fan these into one ProfileStore::get_or_run_many.
   [[nodiscard]] std::vector<Scenario> plan(const FlowSpec& spec) const;
 
@@ -41,9 +41,6 @@ class SoloProfiler {
   /// Seed-averaged solo profile of a flow type; memoized by content in the
   /// store, not in this object.
   [[nodiscard]] FlowMetrics profile(FlowType t) const;
-
-  /// Seed-averaged solo profile of an arbitrary spec.
-  [[nodiscard]] FlowMetrics profile_spec(const FlowSpec& spec) const;
 
   [[nodiscard]] int seeds() const { return seeds_; }
   [[nodiscard]] Testbed& testbed() const { return tb_; }

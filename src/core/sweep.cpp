@@ -108,14 +108,9 @@ Scenario SweepProfiler::level_scenario(const FlowSpec& target, ContentionMode mo
 
 SweepResult SweepProfiler::sweep(const FlowSpec& target, ContentionMode mode,
                                  const std::vector<SynParams>& levels) const {
-  return sweep_many({target}, mode, levels)[0];
-}
-
-std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& targets,
-                                                   ContentionMode mode,
-                                                   const std::vector<SynParams>& levels) const {
-  return assemble_many(targets, mode, levels,
-                       solo_.store().get_or_run_many(plan_many(targets, mode, levels), threads_));
+  return assemble_many({target}, mode, levels,
+                       solo_.store().get_or_run_many(plan_many({target}, mode, levels),
+                                                     threads_))[0];
 }
 
 std::vector<Scenario> SweepProfiler::plan_many(const std::vector<FlowSpec>& targets,

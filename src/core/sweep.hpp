@@ -78,26 +78,14 @@ class SweepProfiler {
   /// fine-grained.
   [[nodiscard]] static std::vector<SynParams> default_levels(Scale s);
 
-  /// The scenario for one (target, level, seed) sweep point (exposed so
-  /// bench drivers can compose bigger store requests).
-  [[nodiscard]] Scenario level_scenario(const FlowSpec& target, ContentionMode mode,
-                                        const SynParams& level, int seed_index) const;
-
-  /// Sweep the ramp for one target. Every (level, seed) run is an
-  /// independent machine executing on up to `threads()` host threads.
+  /// Sweep the ramp for one target. Every (level, seed) run — and the solo
+  /// baseline — is an independent machine executing on up to `threads`
+  /// host threads. Equivalent to assemble_many(plan_many(...), one store
+  /// request) over the single target.
   [[nodiscard]] SweepResult sweep(const FlowSpec& target, ContentionMode mode,
                                   const std::vector<SynParams>& levels) const;
 
-  /// Sweep several targets at once: all targets' (level, seed) runs — and
-  /// their solo baselines — fan out over one host thread pool (this is how
-  /// bench_fig4/5 run the per-type sweeps of one figure concurrently).
-  /// Results are in target order, bit-identical to calling sweep() serially.
-  /// Equivalent to assemble_many(plan_many(...), one store request).
-  [[nodiscard]] std::vector<SweepResult> sweep_many(
-      const std::vector<FlowSpec>& targets, ContentionMode mode,
-      const std::vector<SynParams>& levels) const;
-
-  /// The scenario plan behind sweep_many, known before any result exists:
+  /// The scenario plan behind several sweeps, known before any result exists:
   /// per target, its solo plan (seed order) followed by the (level, seed)
   /// grid. Callers that batch several sweeps fan the plans into one store
   /// request and hand each its slice back through assemble_many.
@@ -120,10 +108,12 @@ class SweepProfiler {
 
   /// Host-parallelism override (tests pin this to compare thread counts).
   void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
-  [[nodiscard]] int threads() const { return threads_; }
-  [[nodiscard]] SoloProfiler& solo() const { return solo_; }
 
  private:
+  /// The scenario for one (target, level, seed) sweep point.
+  [[nodiscard]] Scenario level_scenario(const FlowSpec& target, ContentionMode mode,
+                                        const SynParams& level, int seed_index) const;
+
   SoloProfiler& solo_;
   int competitors_;
   int threads_;

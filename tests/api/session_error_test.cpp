@@ -9,6 +9,7 @@
 
 #include <chrono>
 
+#include "api/artifacts.hpp"
 #include "base/fault.hpp"
 #include "core/profile_store.hpp"
 
@@ -53,18 +54,22 @@ TEST(SessionError, EmptyFlowsIsAStructuredErrorNotAnAbort) {
   EXPECT_EQ(session.stats().specs_failed, 1U);
 }
 
-ExperimentSpec artifact(const char* name, ExperimentKind kind) {
-  ExperimentSpec spec;
-  spec.kind = kind;
-  spec.artifact = name;
-  return spec;
+/// Every paper artifact as a spec, straight from the artifact table.
+std::vector<ExperimentSpec> every_artifact() {
+  std::vector<ExperimentSpec> out;
+  for (const Artifact& a : artifacts()) {
+    ExperimentSpec spec;
+    spec.kind = a.kind;
+    spec.artifact = a.name;
+    out.push_back(spec);
+  }
+  return out;
 }
 
 TEST(SessionError, OverBudgetArtifactIsAStructuredBudgetError) {
   // An artifact runs through the same guards as any spec: its quick-scale
   // windows (5 ms) exceed a 0.1 ms session budget before any work.
-  for (const ExperimentSpec& spec :
-       {artifact("fig4", ExperimentKind::kSweep), artifact("table1", ExperimentKind::kSolo)}) {
+  for (const ExperimentSpec& spec : every_artifact()) {
     core::ProfileStore store;
     SessionOptions opts = test_options();
     opts.run_budget_ms = 0.1;
@@ -72,19 +77,26 @@ TEST(SessionError, OverBudgetArtifactIsAStructuredBudgetError) {
     const Result r = session.run(spec);
     ASSERT_FALSE(r.ok()) << spec.artifact;
     EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded) << spec.artifact;
-    EXPECT_TRUE(r.flows.empty() && r.sweeps.empty()) << "a failed artifact must not be half-filled";
+    EXPECT_TRUE(r.flows.empty() && r.sweeps.empty() && r.studies.empty())
+        << spec.artifact << ": a failed artifact must not be half-filled";
     EXPECT_EQ(store.stats().simulated, 0U) << spec.artifact;
     EXPECT_NE(r.to_text().find("ERROR budget_exceeded"), std::string::npos) << r.to_text();
   }
 }
 
 TEST(SessionError, UnknownArtifactIsAStructuredError) {
-  core::ProfileStore store;
-  Session session(test_options(), &store);
-  const Result r = session.run(artifact("fig9000", ExperimentKind::kSweep));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error->kind, StatusKind::kInvalidSpec);
-  EXPECT_NE(r.error->detail.find("fig9000"), std::string::npos);
+  // A near miss of every table name ("fig20", "table10", ...) is unknown.
+  for (ExperimentSpec spec : every_artifact()) {
+    spec.artifact += "0";
+    ASSERT_EQ(find_artifact(spec.artifact), nullptr) << spec.artifact;
+    core::ProfileStore store;
+    Session session(test_options(), &store);
+    const Result r = session.run(spec);
+    ASSERT_FALSE(r.ok()) << spec.artifact;
+    EXPECT_EQ(r.error->kind, StatusKind::kInvalidSpec) << spec.artifact;
+    EXPECT_NE(r.error->detail.find(spec.artifact), std::string::npos) << r.error->detail;
+    EXPECT_EQ(store.stats().simulated, 0U) << spec.artifact;
+  }
 }
 
 TEST(SessionError, ExpiredDeadlineStopsEveryKindBeforeAnySimulation) {
@@ -98,9 +110,9 @@ TEST(SessionError, ExpiredDeadlineStopsEveryKindBeforeAnySimulation) {
   ExperimentSpec study;
   study.kind = ExperimentKind::kPlacementSearch;
   study.flows = twelve;
-  for (const ExperimentSpec& spec :
-       {tiny_corun(FlowType::kIp, FlowType::kMon), sweep, study,
-        artifact("fig4", ExperimentKind::kSweep), artifact("table1", ExperimentKind::kSolo)}) {
+  std::vector<ExperimentSpec> specs = {tiny_corun(FlowType::kIp, FlowType::kMon), sweep, study};
+  for (const ExperimentSpec& a : every_artifact()) specs.push_back(a);
+  for (const ExperimentSpec& spec : specs) {
     core::ProfileStore store;
     SessionOptions opts = test_options();
     opts.wall_deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/artifacts.hpp"
 #include "api/session.hpp"
 #include "core/profiler.hpp"
 
@@ -59,6 +60,31 @@ TEST(ExperimentSpec, ArtifactSpecRoundTrips) {
   const std::optional<ExperimentSpec> again = ExperimentSpec::parse(spec->to_json(), &err);
   ASSERT_TRUE(again.has_value()) << "canonical artifact form must re-parse: " << err;
   EXPECT_EQ(*spec, *again);
+}
+
+TEST(ExperimentSpec, EveryArtifactHasOneCanonicalForm) {
+  // Each table entry's canonical spec re-parses to itself, and the same
+  // artifact under any other kind is rejected, so run_many and ppd's
+  // in-flight dedup never see two spellings of one figure.
+  for (const Artifact& a : artifacts()) {
+    ExperimentSpec spec;
+    spec.kind = a.kind;
+    spec.artifact = a.name;
+    std::string err;
+    const std::optional<ExperimentSpec> parsed = ExperimentSpec::parse(spec.to_json(), &err);
+    ASSERT_TRUE(parsed.has_value()) << a.name << ": " << err;
+    EXPECT_EQ(spec, *parsed) << a.name;
+    EXPECT_EQ(spec.to_json(), parsed->to_json()) << a.name;
+    for (const ExperimentKind other :
+         {ExperimentKind::kSolo, ExperimentKind::kCorun, ExperimentKind::kSweep,
+          ExperimentKind::kPredict, ExperimentKind::kPlacementSearch}) {
+      if (other == a.kind) continue;
+      spec.kind = other;
+      EXPECT_FALSE(ExperimentSpec::parse(spec.to_json(), &err).has_value())
+          << a.name << " as " << to_string(other);
+      EXPECT_NE(err.find(a.name), std::string::npos) << err;
+    }
+  }
 }
 
 TEST(ExperimentSpec, ControlCharactersInNamesRoundTrip) {
@@ -147,6 +173,7 @@ TEST(ExperimentSpec, RejectsBadInput) {
       {R"({"version": 1, "kind": "solo", "artifact": "fig9000"})", "unknown artifact"},
       {R"({"version": 1, "kind": "solo", "artifact": "fig4", "flows": [{"type": "IP"}]})",
        "artifact with generic fields"},
+      {R"({"version": 1, "kind": "corun", "artifact": "fig4"})", "artifact under another kind"},
       {R"({"version": 1, "version": 1, "kind": "solo", "flows": [{"type": "IP"}]})",
        "duplicate JSON key"},
       {R"({"version": 1, "kind": "solo", "flows": [{"type": "IP"}]} trailing)",

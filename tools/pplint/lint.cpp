@@ -371,7 +371,7 @@ std::vector<Diagnostic> lint_tree(const Options& opt) {
 
   // src/ headers include each other as "dir/name.hpp" relative to src/;
   // bench/tools headers resolve against the repo root, src/, and bench/
-  // (the bench binaries and examples include bench/common.hpp).
+  // (the bench binaries include bench/common.hpp).
   const std::vector<std::string> include_dirs = {
       (root / "src").string(), root.string(), (root / "bench").string()};
 
