@@ -7,10 +7,10 @@
 int main() {
   using namespace pp;
   using namespace pp::core;
-  const Scale scale = scale_from_env();
-  bench::header("NUMA ablation", "local vs remote data placement per flow type", scale);
+  const api::SessionOptions opts = api::SessionOptions::from_env();
+  bench::header("NUMA ablation", "local vs remote data placement per flow type", opts.scale);
 
-  Testbed tb(scale, 1);
+  const Testbed tb = api::make_testbed(opts);
   TextTable t({"flow", "local pps (M)", "remote pps (M)", "slowdown (%)",
                "remote refs/packet"});
   for (const FlowType type : kRealisticTypes) {

@@ -32,7 +32,6 @@
 #include "base/strings.hpp"
 #include "click/parser.hpp"
 #include "common.hpp"
-#include "core/parallel.hpp"
 
 namespace {
 
@@ -200,7 +199,7 @@ void emit_json_to(std::FILE* f, const std::vector<ConfigRun>& runs, const HostTo
   if (fidelity == sim::SimFidelity::kStreamed) {
     std::fprintf(f, "  \"streamed_sample_period_max\": %u,\n", streamed_period_max);
   }
-  std::fprintf(f, "  \"sweep_threads\": %d,\n", host_threads_from_env());
+  std::fprintf(f, "  \"sweep_threads\": %d,\n", api::SessionOptions::from_env().threads);
   std::fprintf(f, "  \"batch_size\": %d,\n  \"configurations\": [\n", kBatch);
   const auto stage = [f](const char* key, const StageResult& s, const char* tail) {
     std::fprintf(f,
@@ -287,8 +286,9 @@ void emit_json(const std::vector<ConfigRun>& runs, Scale scale, sim::SimFidelity
 }  // namespace
 
 int main() {
-  const Scale scale = scale_from_env();
-  const sim::SimFidelity fidelity = fidelity_from_env();
+  const api::SessionOptions opts = api::SessionOptions::from_env();
+  const Scale scale = opts.scale;
+  const sim::SimFidelity fidelity = opts.fidelity;
   // The tier stack is cumulative: streamed mode also runs the sampled tier
   // so the JSON carries all three columns from one invocation.
   const bool sampled_mode = fidelity != sim::SimFidelity::kExact;
@@ -300,8 +300,8 @@ int main() {
   sampled_cfg.fidelity = sim::SimFidelity::kSampled;
   sim::MachineConfig streamed_cfg;
   streamed_cfg.fidelity = sim::SimFidelity::kStreamed;
-  streamed_cfg.sample_period_max =
-      sample_period_max_from_env(sim::SimFidelity::kStreamed, streamed_cfg.sample_period);
+  streamed_cfg.sample_period_max = api::resolve_sample_period_max(
+      sim::SimFidelity::kStreamed, streamed_cfg.sample_period, opts.sample_period_max);
   if (sampled_mode) {
     std::printf("SIM_FIDELITY=%s: every configuration also runs set-sampled "
                 "(period %u)%s; drift gate at %.1f%% pps per statistical tier.\n\n",
@@ -432,19 +432,24 @@ int main() {
   // --- Scenario engine: profile-store cold vs warm ------------------------
   CacheDemo cache;
   {
-    core::Testbed tb(scale, 1);
+    core::Testbed tb = api::make_testbed(opts);
     core::ProfileStore store;  // in-memory: a freshly populated PROFILE_CACHE
-    core::SoloProfiler solo(tb, 1, &store);
+    core::SoloProfiler solo(tb, 1, store);
     core::SweepProfiler sweep(solo, 5);
     const auto all_levels = core::SweepProfiler::default_levels(scale);
     const std::vector<core::SynParams> levels = {all_levels.front(), all_levels.back()};
+    const std::vector<core::FlowSpec> mon = {core::FlowSpec::of(core::FlowType::kMon)};
+    const auto mini_sweep = [&] {
+      const auto plan = sweep.plan_many(mon, core::ContentionMode::kBoth, levels);
+      return sweep.assemble_many(
+          mon, core::ContentionMode::kBoth, levels,
+          core::ProfileStore::results_or_throw(store.run_batch(plan, opts.threads)))[0];
+    };
     const auto host_t0 = std::chrono::steady_clock::now();
-    const core::SweepResult cold = sweep.sweep(core::FlowSpec::of(core::FlowType::kMon),
-                                               core::ContentionMode::kBoth, levels);
+    const core::SweepResult cold = mini_sweep();
     const auto host_t1 = std::chrono::steady_clock::now();
     const std::uint64_t simulated_after_cold = store.stats().simulated;
-    const core::SweepResult warm = sweep.sweep(core::FlowSpec::of(core::FlowType::kMon),
-                                               core::ContentionMode::kBoth, levels);
+    const core::SweepResult warm = mini_sweep();
     const auto host_t2 = std::chrono::steady_clock::now();
     cache.cold_host_seconds = std::chrono::duration<double>(host_t1 - host_t0).count();
     cache.warm_host_seconds = std::chrono::duration<double>(host_t2 - host_t1).count();

@@ -273,7 +273,7 @@ void emit_json(Scale scale, const api::ServerOptions& opts,
 }  // namespace
 
 int main() {
-  const Scale scale = scale_from_env();
+  const Scale scale = api::SessionOptions::from_env().scale;
   bench::header("serve-path load", "concurrent clients vs one ppd server (UDS + TCP)",
                 scale);
 

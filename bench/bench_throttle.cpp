@@ -19,7 +19,7 @@ struct Outcome {
   double victim_pps = 0;
 };
 
-Outcome run(bool governed, Testbed& tb) {
+Outcome run(bool governed, const Testbed& tb) {
   sim::Machine machine(tb.machine_config());
   const sim::MachineConfig& mcfg = tb.machine_config();
 
@@ -84,10 +84,10 @@ Outcome run(bool governed, Testbed& tb) {
 }  // namespace
 
 int main() {
-  const Scale scale = scale_from_env();
+  const api::SessionOptions opts = api::SessionOptions::from_env();
   bench::header("Section 4 ablation",
-                "throttling contains a flow that turns aggressive mid-run", scale);
-  Testbed tb(scale, 1);
+                "throttling contains a flow that turns aggressive mid-run", opts.scale);
+  const Testbed tb = api::make_testbed(opts);
 
   const Outcome off = run(false, tb);
   const Outcome on = run(true, tb);

@@ -371,7 +371,8 @@ std::string fig8_text(const Result& r) {
       const PairwiseCell cell =
           pairwise_cell(r, kNumRealistic + (ti * kNumRealistic + ci) * seeds * 6, seeds);
       const double actual = core::drop_pct(solo, cell.target);
-      // The competitor-refs sum mirrors ContentionPredictor::predict.
+      // The competitor-refs sum mirrors Session's predict assembler
+      // (session.cpp, ExperimentKind::kPredict).
       const double comp_solo_refs = r.flows[ci].metrics.refs_per_sec();
       double solo_refs_sum = 0;
       for (int k = 0; k < 5; ++k) solo_refs_sum += comp_solo_refs;

@@ -9,10 +9,10 @@
 // `SessionOptions::from_env()` performs the single audited parse: values are
 // validated, a typo like SIM_FIDELITY=streamd earns a stderr warning instead
 // of silently selecting the exact tier, and unrecognized SIM_*/PP_*/SWEEP_*/
-// REPRO_* variable names are reported once per process. The legacy helpers
-// (pp::scale_from_env, core::fidelity_from_env, core::host_threads_from_env,
-// ProfileStore::global) are thin shims over this snapshot, so the whole tree
-// sees one consistent configuration.
+// REPRO_* variable names are reported once per process. PP_FAULTS aside, it
+// is the only reader of configuration: the layers below api/ take explicit
+// values (api::make_testbed applies these options to a core::Testbed), so
+// the whole tree sees one consistent configuration.
 #pragma once
 
 #include <chrono>

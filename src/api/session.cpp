@@ -15,25 +15,39 @@ namespace pp::api {
 
 // ------------------------------------------------------------------- stack
 
-ViewStack::ViewStack(const SessionOptions& opts, int seeds, core::ProfileStore& store)
-    : tb(opts.scale, 1),
-      solo(tb, seeds > 0 ? seeds : default_seeds(opts.scale), &store),
-      sweep(solo, 5, opts.threads),
-      predictor(solo, sweep),
-      placement(solo, opts.threads) {
-  // The Testbed constructor already applied the environment defaults; make
-  // the explicit options authoritative (they usually coincide — from_env()
-  // is the default — so env-configured sessions stay bit-identical to the
-  // historical path).
+core::Testbed make_testbed(const SessionOptions& opts) {
+  core::Testbed tb(opts.scale);
   sim::MachineConfig& m = tb.machine_config();
   m.fidelity = opts.fidelity;
   m.sample_period_max =
       resolve_sample_period_max(opts.fidelity, m.sample_period, opts.sample_period_max);
   tb.set_run_budget_ms(opts.run_budget_ms);
   tb.set_run_deadline(opts.wall_deadline);
+  return tb;
 }
 
+ViewStack::ViewStack(const SessionOptions& opts, int seeds, core::ProfileStore& store)
+    : tb(make_testbed(opts)),
+      solo(tb, seeds > 0 ? seeds : default_seeds(opts.scale), store),
+      sweep(solo),
+      placement(solo) {}
+
 // ----------------------------------------------------------------- session
+
+namespace {
+
+/// The store env-configured sessions share, so benches and examples keep
+/// one memo table per process. Its directories come from the audited
+/// environment snapshot (PROFILE_CACHE / PROFILE_CACHE_RO).
+core::ProfileStore& global_store() {
+  static core::ProfileStore store = [] {
+    const SessionOptions env = SessionOptions::from_env();
+    return core::ProfileStore(env.cache_dir, env.cache_dir_ro);
+  }();
+  return store;
+}
+
+}  // namespace
 
 Session::Session(SessionOptions opts, core::ProfileStore* store) : opts_(std::move(opts)) {
   if (store != nullptr) {
@@ -42,7 +56,7 @@ Session::Session(SessionOptions opts, core::ProfileStore* store) : opts_(std::mo
   }
   const SessionOptions env = SessionOptions::from_env();
   if (opts_.cache_dir == env.cache_dir && opts_.cache_dir_ro == env.cache_dir_ro) {
-    store_ = &core::ProfileStore::global();
+    store_ = &global_store();
   } else {
     owned_store_ = std::make_unique<core::ProfileStore>(opts_.cache_dir, opts_.cache_dir_ro);
     store_ = owned_store_.get();

@@ -1,9 +1,11 @@
 // The public facade: one entry point for executing declarative experiments.
 //
 // A Session bundles the scenario-engine stack — the content-addressed
-// ProfileStore plus the stateless profiler/predictor/placement views — behind
+// ProfileStore plus the stateless profiler/sweep/placement views — behind
 // explicit SessionOptions instead of scattered getenv() calls, and executes
-// ExperimentSpecs into structured, serializable Results:
+// ExperimentSpecs into structured, serializable Results. It is the only
+// executor: the views plan and assemble, and Session runs their plans in
+// one ProfileStore::run_batch.
 //
 //   api::Session session;                                  // env-configured
 //   auto spec = api::ExperimentSpec::parse(file_text, &err);
@@ -30,7 +32,6 @@
 #include "api/spec.hpp"
 #include "base/status.hpp"
 #include "core/placement.hpp"
-#include "core/predictor.hpp"
 #include "core/profile_store.hpp"
 #include "core/profiler.hpp"
 #include "core/sweep.hpp"
@@ -84,6 +85,12 @@ struct Result {
   [[nodiscard]] std::string to_csv() const;
 };
 
+/// A Testbed at `opts.scale` with the options applied: fidelity, the
+/// sampling-period ceiling (resolve_sample_period_max), the run budget and
+/// the wall-clock deadline. The one place options reach a Testbed; benches
+/// and tests pass SessionOptions::from_env() (or an override of it).
+[[nodiscard]] core::Testbed make_testbed(const SessionOptions& opts);
+
 /// The stateless view stack over one store, configured from explicit options
 /// (Session builds one per spec — construction is cheap; all measurement
 /// state lives in the store).
@@ -91,7 +98,6 @@ struct ViewStack {
   core::Testbed tb;
   core::SoloProfiler solo;
   core::SweepProfiler sweep;
-  core::ContentionPredictor predictor;
   core::PlacementEvaluator placement;
 
   /// `seeds` = averaging seeds per data point (0 = default_seeds(scale)).

@@ -1,11 +1,13 @@
 // Experiment scale selection.
 //
-// All benchmark binaries honor the REPRO_SCALE environment variable:
 //   quick    — fast sanity pass (short measurement windows, fewer sweep
 //              points, 1 seed); for CI and iteration.
 //   standard — default; enough packets for <1% throughput noise, 3 seeds.
 //   full     — paper fidelity (longest windows, dense sweeps, 5 seeds,
 //              matching the paper's 5-run averages).
+//
+// The REPRO_SCALE environment variable selects one for every binary; it is
+// read, like every other knob, by api::SessionOptions::from_env.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +15,6 @@
 namespace pp {
 
 enum class Scale : std::uint8_t { kQuick, kStandard, kFull };
-
-/// Parse REPRO_SCALE (defaults to kStandard on unset/unknown values).
-[[nodiscard]] Scale scale_from_env();
 
 /// Human-readable name.
 [[nodiscard]] const char* to_string(Scale s);

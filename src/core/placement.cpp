@@ -7,8 +7,7 @@
 
 namespace pp::core {
 
-PlacementEvaluator::PlacementEvaluator(SoloProfiler& solo, int threads)
-    : solo_(solo), threads_(threads < 1 ? 1 : threads) {}
+PlacementEvaluator::PlacementEvaluator(SoloProfiler& solo) : solo_(solo) {}
 
 Scenario PlacementEvaluator::placement_scenario(const std::vector<FlowSpec>& flows,
                                                 const std::vector<int>& socket_of_flow,
@@ -27,11 +26,6 @@ Scenario PlacementEvaluator::placement_scenario(const std::vector<FlowSpec>& flo
     cfg.placement.push_back(FlowPlacement{next_core[socket_of_flow[i]]++, -1});
   }
   return Scenario::of(tb, cfg);
-}
-
-PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) const {
-  const PlacementPlan p = plan(flows);
-  return assemble(flows, p, solo_.store().get_or_run_many(p.scenarios, threads_));
 }
 
 PlacementPlan PlacementEvaluator::plan(const std::vector<FlowSpec>& flows) const {
@@ -67,8 +61,9 @@ PlacementPlan PlacementEvaluator::plan(const std::vector<FlowSpec>& flows) const
   } while (std::next_permutation(pick.begin(), pick.end()));
 
   // One flat job list: per-type solo baselines first, then every
-  // (placement, seed) run. The store fans it out and single-flights any
-  // duplicates; assemble() walks it strictly in enumeration order.
+  // (placement, seed) run. The store's run_batch fans it out and
+  // single-flights any duplicates; assemble() walks it strictly in
+  // enumeration order.
   for (const FlowSpec& f : flows) {
     if (std::find(out.solo_types.begin(), out.solo_types.end(), f.type) ==
         out.solo_types.end()) {

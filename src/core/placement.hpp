@@ -4,16 +4,15 @@
 // each, and report the best and worst placements. The gap between them is
 // the maximum benefit contention-aware scheduling could deliver.
 //
-// Stateless view over the ProfileStore: the whole placement enumeration —
-// every (placement, seed) run plus the per-type solo baselines — fans out
-// over the host thread pool in one store request; aggregation walks the
-// slots in enumeration order, so the study is bit-identical at any
-// SWEEP_THREADS.
+// Stateless plan/assemble view: the whole placement enumeration — every
+// (placement, seed) run plus the per-type solo baselines — is one plan the
+// caller runs in a single ProfileStore::run_batch; aggregation walks the
+// slots in enumeration order, so the study is bit-identical at any thread
+// count.
 #pragma once
 
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/profiler.hpp"
 
 namespace pp::core {
@@ -39,15 +38,12 @@ struct PlacementPlan {
 
 class PlacementEvaluator {
  public:
-  explicit PlacementEvaluator(SoloProfiler& solo, int threads = host_threads_from_env());
+  explicit PlacementEvaluator(SoloProfiler& solo);
 
-  /// `flows` must have exactly cores-many entries (12). Placements that are
+  /// Enumerate the distinct placements and lay out their scenarios. `flows`
+  /// must have exactly cores-many entries (12). Placements that are
   /// equivalent up to permuting flows of the same type within a socket (and
-  /// swapping the sockets) are evaluated once. Equivalent to
-  /// assemble(flows, plan(flows), one store request over plan.scenarios).
-  [[nodiscard]] PlacementStudy evaluate(const std::vector<FlowSpec>& flows) const;
-
-  /// Enumerate the distinct placements and lay out their scenarios.
+  /// swapping the sockets) are evaluated once.
   [[nodiscard]] PlacementPlan plan(const std::vector<FlowSpec>& flows) const;
 
   /// Aggregate `runs` (parallel to plan.scenarios, which callers may have
@@ -56,15 +52,12 @@ class PlacementEvaluator {
       const std::vector<FlowSpec>& flows, const PlacementPlan& plan,
       const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const;
 
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
-
  private:
   [[nodiscard]] Scenario placement_scenario(const std::vector<FlowSpec>& flows,
                                             const std::vector<int>& socket_of_flow,
                                             int seed_index) const;
 
   SoloProfiler& solo_;
-  int threads_;
 };
 
 }  // namespace pp::core

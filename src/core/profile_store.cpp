@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "api/options.hpp"
 #include "base/check.hpp"
 #include "base/fault.hpp"
 #include "base/strings.hpp"
@@ -17,16 +16,6 @@ namespace pp::core {
 
 ProfileStore::ProfileStore(std::string cache_dir, std::string ro_dir)
     : dir_(std::move(cache_dir)), ro_dir_(std::move(ro_dir)) {}
-
-ProfileStore& ProfileStore::global() {
-  // Cache directories come from the audited environment snapshot
-  // (PROFILE_CACHE / PROFILE_CACHE_RO via api::SessionOptions::from_env).
-  static ProfileStore store = [] {
-    const api::SessionOptions opts = api::SessionOptions::from_env();
-    return ProfileStore(opts.cache_dir, opts.cache_dir_ro);
-  }();
-  return store;
-}
 
 ProfileStore::Stats ProfileStore::stats() const {
   Stats s;
@@ -279,11 +268,6 @@ std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::results_or_thro
     out.push_back(o.result);
   }
   return out;
-}
-
-std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many(
-    const std::vector<Scenario>& scenarios, int threads) {
-  return results_or_throw(run_batch(scenarios, threads));
 }
 
 // -------------------------------------------------------------- persistence

@@ -6,9 +6,9 @@
 //
 //   * in memory: concurrent get_or_run calls for the same key coalesce
 //     (single-flight: the first caller simulates, the rest block on its
-//     result), so fan-outs over parallel_for never duplicate work;
+//     result), so run_batch fan-outs never duplicate work;
 //   * on disk (opt-in): when constructed with a cache directory (the
-//     PROFILE_CACHE environment variable for the global store), results
+//     PROFILE_CACHE environment variable for api::Session's store), results
 //     persist as one versioned, checksummed JSON file per key and are
 //     reloaded bit-identically — doubles round-trip by bit pattern — so a
 //     repeated bench run re-simulates nothing. Files with a stale
@@ -74,7 +74,7 @@ class ProfileStore {
 
   /// `cache_dir` empty = in-memory only (the tier-1 test default).
   /// `ro_dir` is an optional read-only secondary cache (PROFILE_CACHE_RO for
-  /// the global store): consulted after a `cache_dir` miss, before
+  /// api::Session's store): consulted after a `cache_dir` miss, before
   /// simulating, and never written — so a result store populated elsewhere
   /// (another build tree, a shared filesystem, eventually another machine;
   /// content keys make that safe by construction) can be layered under a
@@ -83,10 +83,6 @@ class ProfileStore {
 
   ProfileStore(const ProfileStore&) = delete;
   ProfileStore& operator=(const ProfileStore&) = delete;
-
-  /// Process-wide store; its cache directory comes from PROFILE_CACHE
-  /// (unset/empty = no persistence). All profiler views default to it.
-  [[nodiscard]] static ProfileStore& global();
 
   /// The result for `s`, simulating it at most once per key across all
   /// threads and (with a cache dir) across processes. The returned pointer
@@ -113,11 +109,6 @@ class ProfileStore {
   /// (which slot fails is thread-count invariant).
   [[nodiscard]] static std::vector<std::shared_ptr<const ScenarioResult>> results_or_throw(
       std::span<const Outcome> outcomes);
-
-  /// run_batch + results_or_throw: every job completes, then the
-  /// lowest-index error (if any) is rethrown.
-  [[nodiscard]] std::vector<std::shared_ptr<const ScenarioResult>> get_or_run_many(
-      const std::vector<Scenario>& scenarios, int threads);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }

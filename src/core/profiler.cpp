@@ -1,7 +1,6 @@
 #include "core/profiler.hpp"
 
 #include "base/check.hpp"
-#include "core/parallel.hpp"
 
 namespace pp::core {
 
@@ -26,8 +25,8 @@ double drop_pct(const FlowMetrics& solo, const FlowMetrics& measured) {
   return s <= 0 ? 0.0 : (s - c) / s * 100.0;
 }
 
-SoloProfiler::SoloProfiler(Testbed& tb, int seeds, ProfileStore* store)
-    : tb_(tb), seeds_(seeds), store_(store != nullptr ? store : &ProfileStore::global()) {
+SoloProfiler::SoloProfiler(Testbed& tb, int seeds, ProfileStore& store)
+    : tb_(tb), seeds_(seeds), store_(store) {
   PP_CHECK(seeds >= 1);
 }
 
@@ -47,10 +46,6 @@ FlowMetrics SoloProfiler::merge_plan(
   runs.reserve(results.size());
   for (const auto& r : results) runs.push_back((*r)[0]);
   return merge_metrics(runs);
-}
-
-FlowMetrics SoloProfiler::profile(FlowType t) const {
-  return merge_plan(store_->get_or_run_many(plan(FlowSpec::of(t)), host_threads_from_env()));
 }
 
 }  // namespace pp::core

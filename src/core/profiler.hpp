@@ -2,11 +2,11 @@
 // characteristics the paper reports — cycles/instruction, L3 refs & hits per
 // second, cycles / L3 refs / L3 misses / L2 hits per packet.
 //
-// Since PR 3 the profiler is a stateless view over the ProfileStore: it
-// plans one scenario per averaging seed (the paper averages 5 independent
-// runs), lets the store run-or-recall them, and merges the pooled counters.
-// There is no hidden per-instance cache, so any number of profilers — on any
-// number of host threads — share one memo table and stay coherent.
+// The profiler is a stateless plan/assemble view: it plans one scenario per
+// averaging seed (the paper averages 5 independent runs) and merges the
+// pooled counters of their results. It runs nothing itself — api::Session
+// hands the plan to ProfileStore::run_batch — so any number of profilers,
+// on any number of host threads, share one memo table and stay coherent.
 #pragma once
 
 #include <vector>
@@ -25,12 +25,11 @@ namespace pp::core {
 
 class SoloProfiler {
  public:
-  /// `store` defaults to the process-global ProfileStore (which honors
-  /// PROFILE_CACHE); tests inject their own for isolation.
-  SoloProfiler(Testbed& tb, int seeds, ProfileStore* store = nullptr);
+  /// `store` is the memo table the views' plans run against.
+  SoloProfiler(Testbed& tb, int seeds, ProfileStore& store);
 
   /// The scenarios behind a solo profile, in seed order. Callers that batch
-  /// several profiles fan these into one ProfileStore::get_or_run_many.
+  /// several profiles fan these into one ProfileStore::run_batch.
   [[nodiscard]] std::vector<Scenario> plan(const FlowSpec& spec) const;
 
   /// Merge the planned scenarios' results (first flow of each) in seed
@@ -38,18 +37,14 @@ class SoloProfiler {
   [[nodiscard]] static FlowMetrics merge_plan(
       const std::vector<std::shared_ptr<const ScenarioResult>>& results);
 
-  /// Seed-averaged solo profile of a flow type; memoized by content in the
-  /// store, not in this object.
-  [[nodiscard]] FlowMetrics profile(FlowType t) const;
-
   [[nodiscard]] int seeds() const { return seeds_; }
   [[nodiscard]] Testbed& testbed() const { return tb_; }
-  [[nodiscard]] ProfileStore& store() const { return *store_; }
+  [[nodiscard]] ProfileStore& store() const { return store_; }
 
  private:
   Testbed& tb_;
   int seeds_;
-  ProfileStore* store_;
+  ProfileStore& store_;
 };
 
 }  // namespace pp::core

@@ -7,9 +7,9 @@
 // scenarios with the same content hash to the same stable key (see
 // scenario_key), and running a scenario is a pure function of its fields
 // (each run builds a fresh, self-contained, deterministic Machine). The
-// ProfileStore builds on both properties; the profiling/prediction stack
-// (SoloProfiler, SweepProfiler, ContentionPredictor, PlacementEvaluator)
-// is a set of thin views that plan scenarios and aggregate their results.
+// ProfileStore builds on both properties; the profiling views
+// (SoloProfiler, SweepProfiler, PlacementEvaluator) plan scenarios and
+// aggregate their results, and api::Session runs the plans.
 #pragma once
 
 #include <string>

@@ -52,8 +52,8 @@ double SweepCurve::drop_at(double refs) const {
   return pts_.back().drop_pct;
 }
 
-SweepProfiler::SweepProfiler(SoloProfiler& solo, int competitors, int threads)
-    : solo_(solo), competitors_(competitors), threads_(threads < 1 ? 1 : threads) {
+SweepProfiler::SweepProfiler(SoloProfiler& solo, int competitors)
+    : solo_(solo), competitors_(competitors) {
   PP_CHECK(competitors >= 1 && competitors <= 5);
 }
 
@@ -104,13 +104,6 @@ Scenario SweepProfiler::level_scenario(const FlowSpec& target, ContentionMode mo
     cfg.placement.push_back(pl);
   }
   return Scenario::of(tb, cfg);
-}
-
-SweepResult SweepProfiler::sweep(const FlowSpec& target, ContentionMode mode,
-                                 const std::vector<SynParams>& levels) const {
-  return assemble_many({target}, mode, levels,
-                       solo_.store().get_or_run_many(plan_many({target}, mode, levels),
-                                                     threads_))[0];
 }
 
 std::vector<Scenario> SweepProfiler::plan_many(const std::vector<FlowSpec>& targets,

@@ -8,18 +8,16 @@
 // controller-only (competitors on the other socket, their data in the
 // target's domain), and both (the system's normal NUMA-local placement).
 //
-// The profiler is a stateless view over the ProfileStore: a sweep is planned
-// as one scenario per (target, level, seed) — plus the target's solo
-// scenarios — and the whole plan fans out over the host thread pool in a
-// single store request. Aggregation walks the slots in serial order, so the
-// output is bit-identical for any SWEEP_THREADS, and concurrent sweeps
-// sharing one SoloProfiler/store are safe (the store single-flights
-// duplicate scenarios instead of racing a hidden cache).
+// The profiler is a stateless plan/assemble view: a sweep is planned as one
+// scenario per (target, level, seed) — plus the target's solo scenarios —
+// and the caller runs the whole plan in a single ProfileStore::run_batch.
+// Aggregation walks the slots in serial order, so the output is
+// bit-identical at any thread count, and concurrent sweeps sharing one
+// store are safe (the store single-flights duplicate scenarios).
 #pragma once
 
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/profiler.hpp"
 #include "core/testbed.hpp"
 
@@ -69,21 +67,13 @@ struct SweepResult {
 
 class SweepProfiler {
  public:
-  SweepProfiler(SoloProfiler& solo, int competitors = 5,
-                int threads = host_threads_from_env());
+  explicit SweepProfiler(SoloProfiler& solo, int competitors = 5);
 
   /// Ramp schedule: SYN (reads, instr) pairs from near-idle to SYN_MAX.
   /// Batches are kept short (small reads, modest instr) so competitor tasks
   /// stay comparable in length to a packet and the DES interleaving stays
   /// fine-grained.
   [[nodiscard]] static std::vector<SynParams> default_levels(Scale s);
-
-  /// Sweep the ramp for one target. Every (level, seed) run — and the solo
-  /// baseline — is an independent machine executing on up to `threads`
-  /// host threads. Equivalent to assemble_many(plan_many(...), one store
-  /// request) over the single target.
-  [[nodiscard]] SweepResult sweep(const FlowSpec& target, ContentionMode mode,
-                                  const std::vector<SynParams>& levels) const;
 
   /// The scenario plan behind several sweeps, known before any result exists:
   /// per target, its solo plan (seed order) followed by the (level, seed)
@@ -106,9 +96,6 @@ class SweepProfiler {
       std::size_t t, std::size_t num_levels,
       const std::vector<std::shared_ptr<const ScenarioResult>>& runs) const;
 
-  /// Host-parallelism override (tests pin this to compare thread counts).
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
-
  private:
   /// The scenario for one (target, level, seed) sweep point.
   [[nodiscard]] Scenario level_scenario(const FlowSpec& target, ContentionMode mode,
@@ -116,7 +103,6 @@ class SweepProfiler {
 
   SoloProfiler& solo_;
   int competitors_;
-  int threads_;
 };
 
 }  // namespace pp::core

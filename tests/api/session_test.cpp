@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/profile_store.hpp"
 
 namespace pp::api {
@@ -127,6 +129,34 @@ TEST(Session, SoloResultMatchesProfilerView) {
   const std::uint64_t simulated = store.stats().simulated;
   (void)session.run(spec);
   EXPECT_EQ(store.stats().simulated, simulated);
+}
+
+// make_testbed is the one place options reach a Testbed (a Testbed itself
+// reads no environment): fidelity, the tier's sampling ceiling, the run
+// budget and the wall-clock deadline all land, and configure() stamps them.
+TEST(MakeTestbed, AppliesOptions) {
+  SessionOptions opts =
+      SessionOptions{}.with_scale(Scale::kQuick).with_fidelity(sim::SimFidelity::kStreamed);
+  opts.run_budget_ms = 7.5;
+  opts.wall_deadline = std::chrono::steady_clock::time_point{} + std::chrono::hours(1);
+  const core::Testbed tb = make_testbed(opts);
+  EXPECT_EQ(tb.scale(), Scale::kQuick);
+  EXPECT_EQ(tb.machine_config().fidelity, sim::SimFidelity::kStreamed);
+  EXPECT_EQ(tb.machine_config().sample_period_max, 16U) << "streamed tier's default ceiling";
+  EXPECT_EQ(tb.run_budget_ms(), 7.5);
+  EXPECT_EQ(tb.run_deadline(), opts.wall_deadline);
+  const core::RunConfig cfg = tb.configure({FlowSpec::of(FlowType::kIp)});
+  EXPECT_EQ(cfg.budget_ms, 7.5);
+  EXPECT_EQ(cfg.deadline, opts.wall_deadline);
+
+  opts.sample_period_max = 32;
+  EXPECT_EQ(make_testbed(opts).machine_config().sample_period_max, 32U);
+
+  const core::Testbed exact = make_testbed(SessionOptions{}.with_scale(Scale::kQuick));
+  EXPECT_EQ(exact.machine_config().fidelity, sim::SimFidelity::kExact);
+  EXPECT_EQ(exact.machine_config().sample_period_max, exact.machine_config().sample_period);
+  EXPECT_EQ(exact.run_budget_ms(), 0.0);
+  EXPECT_EQ(exact.run_deadline(), std::chrono::steady_clock::time_point{});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fixtures.hpp"
 #include "core/parallel.hpp"
 #include "core/sweep.hpp"
 
@@ -32,29 +33,19 @@ TEST(ParallelFor, HandlesEdgeCases) {
   EXPECT_EQ(ran, 1);  // threads are clamped to the job count
 }
 
-TEST(ParallelFor, EnvThreadsIsPositive) { EXPECT_GE(host_threads_from_env(), 1); }
-
 // The acceptance property of the parallel sweep engine: results are
 // bit-identical across host thread counts (each (level, seed) run is an
 // independent deterministic machine; aggregation happens in serial order).
 TEST(ParallelSweep, ThreadCountInvariance) {
   const std::vector<SynParams> levels = {{1, 2000, 12}, {32, 0, 12}};
 
-  Testbed tb(Scale::kQuick, 1);
   // Isolated stores so the parallel pass genuinely re-simulates instead of
   // reading the serial pass's memoized results.
-  ProfileStore store_a;
-  SoloProfiler solo_a(tb, 1, &store_a);
-  SweepProfiler serial(solo_a, 3);
-  serial.set_threads(1);
-  const SweepResult a = serial.sweep(FlowSpec::of(FlowType::kIp), ContentionMode::kBoth, levels);
+  pp::test::ProfilerRig serial(sim::SimFidelity::kExact, 1, 3);
+  const SweepResult a = serial.sweep_of(FlowType::kIp, ContentionMode::kBoth, levels, 1);
 
-  ProfileStore store_b;
-  SoloProfiler solo_b(tb, 1, &store_b);
-  SweepProfiler parallel4(solo_b, 3);
-  parallel4.set_threads(4);
-  const SweepResult b =
-      parallel4.sweep(FlowSpec::of(FlowType::kIp), ContentionMode::kBoth, levels);
+  pp::test::ProfilerRig parallel4(sim::SimFidelity::kExact, 1, 3);
+  const SweepResult b = parallel4.sweep_of(FlowType::kIp, ContentionMode::kBoth, levels, 4);
 
   ASSERT_EQ(a.levels.size(), b.levels.size());
   for (std::size_t i = 0; i < a.levels.size(); ++i) {
@@ -73,37 +64,25 @@ TEST(ParallelSweep, ThreadCountInvariance) {
 // sharing one SoloProfiler raced its hidden std::map cache when they
 // overlapped. The views are stateless now and the shared ProfileStore
 // single-flights duplicate scenarios, so two concurrent sweeps — each
-// itself fanned out over SWEEP_THREADS > 1 — must reproduce the serial
-// result bit-identically and simulate every scenario exactly once.
+// itself a run_batch over 2 threads — must reproduce the serial result
+// bit-identically and simulate every scenario exactly once.
 TEST(ParallelSweep, ConcurrentSweepsSharingOneSoloProfilerAreSafe) {
   const std::vector<SynParams> levels = {{1, 2000, 12}, {32, 0, 12}};
-  Testbed tb(Scale::kQuick, 1);
 
-  ProfileStore serial_store;
-  SoloProfiler serial_solo(tb, 1, &serial_store);
-  SweepProfiler serial(serial_solo, 3);
-  serial.set_threads(1);
-  const SweepResult ref =
-      serial.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
-  const std::uint64_t serial_simulated = serial_store.stats().simulated;
+  pp::test::ProfilerRig serial(sim::SimFidelity::kExact, 1, 3);
+  const SweepResult ref = serial.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels, 1);
+  const std::uint64_t serial_simulated = serial.store.stats().simulated;
 
-  ProfileStore store;
-  SoloProfiler solo(tb, 1, &store);
-  SweepProfiler shared(solo, 3);
-  shared.set_threads(2);  // SWEEP_THREADS > 1 inside each sweep
+  pp::test::ProfilerRig shared(sim::SimFidelity::kExact, 1, 3);
   SweepResult a;
   SweepResult b;
-  std::thread t1([&] {
-    a = shared.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
-  });
-  std::thread t2([&] {
-    b = shared.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
-  });
+  std::thread t1([&] { a = shared.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels, 2); });
+  std::thread t2([&] { b = shared.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels, 2); });
   t1.join();
   t2.join();
 
   // Identical scenarios coalesced instead of racing: one simulation each.
-  EXPECT_EQ(store.stats().simulated, serial_simulated);
+  EXPECT_EQ(shared.store.stats().simulated, serial_simulated);
   for (const SweepResult* r : {&a, &b}) {
     ASSERT_EQ(r->levels.size(), ref.levels.size());
     for (std::size_t i = 0; i < ref.levels.size(); ++i) {
@@ -123,20 +102,11 @@ TEST(ParallelSweep, ConcurrentSweepsSharingOneSoloProfilerAreSafe) {
 TEST(ParallelSweep, ThreadCountInvarianceSampled) {
   const std::vector<SynParams> levels = {{32, 0, 12}};
 
-  Testbed tb(Scale::kQuick, 1);
-  tb.machine_config().fidelity = sim::SimFidelity::kSampled;
-  ProfileStore store_a;
-  SoloProfiler solo_a(tb, 1, &store_a);
-  SweepProfiler serial(solo_a, 2);
-  serial.set_threads(1);
-  const SweepResult a = serial.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
+  pp::test::ProfilerRig serial(sim::SimFidelity::kSampled, 1, 2);
+  const SweepResult a = serial.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels, 1);
 
-  ProfileStore store_b;
-  SoloProfiler solo_b(tb, 1, &store_b);
-  SweepProfiler parallel3(solo_b, 2);
-  parallel3.set_threads(3);
-  const SweepResult b =
-      parallel3.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
+  pp::test::ProfilerRig parallel3(sim::SimFidelity::kSampled, 1, 2);
+  const SweepResult b = parallel3.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels, 3);
 
   ASSERT_EQ(a.levels.size(), b.levels.size());
   EXPECT_EQ(a.levels[0].drop_pct, b.levels[0].drop_pct);

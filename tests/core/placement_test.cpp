@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fixtures.hpp"
+
 namespace pp::core {
 namespace {
 
@@ -12,36 +14,37 @@ std::vector<FlowSpec> combo(FlowType a, FlowType b) {
   return flows;
 }
 
-class PlacementTest : public ::testing::Test {
- protected:
-  PlacementTest() : tb_(Scale::kQuick, 1), solo_(tb_, 1), eval_(solo_) {}
+/// Plan the study, run it in one store request, assemble. One in-memory
+/// store serves the whole suite, so the three MON+FW cases share one
+/// simulation of that study.
+PlacementStudy evaluate(const std::vector<FlowSpec>& flows) {
+  static pp::test::ProfilerRig rig;
+  const PlacementEvaluator eval(rig.solo);
+  const PlacementPlan plan = eval.plan(flows);
+  return eval.assemble(flows, plan, rig.run(plan.scenarios));
+}
 
-  Testbed tb_;
-  SoloProfiler solo_;
-  PlacementEvaluator eval_;
-};
-
-TEST_F(PlacementTest, TwoTypeComboHasFourDistinctSplits) {
+TEST(PlacementTest, TwoTypeComboHasFourDistinctSplits) {
   // 6+6 of two types: socket-0 share of type A in {6,5,4,3} after symmetric
   // dedupe -> 4 placements.
-  const PlacementStudy study = eval_.evaluate(combo(FlowType::kFw, FlowType::kSynMax));
+  const PlacementStudy study = evaluate(combo(FlowType::kFw, FlowType::kSynMax));
   EXPECT_EQ(study.placements_evaluated, 4);
 }
 
-TEST_F(PlacementTest, SingleTypeComboHasOneSplit) {
-  const PlacementStudy study = eval_.evaluate(combo(FlowType::kFw, FlowType::kFw));
+TEST(PlacementTest, SingleTypeComboHasOneSplit) {
+  const PlacementStudy study = evaluate(combo(FlowType::kFw, FlowType::kFw));
   EXPECT_EQ(study.placements_evaluated, 1);
 }
 
-TEST_F(PlacementTest, BestNeverWorseThanWorst) {
-  const PlacementStudy study = eval_.evaluate(combo(FlowType::kMon, FlowType::kFw));
+TEST(PlacementTest, BestNeverWorseThanWorst) {
+  const PlacementStudy study = evaluate(combo(FlowType::kMon, FlowType::kFw));
   EXPECT_LE(study.best.avg_drop_pct, study.worst.avg_drop_pct);
   EXPECT_EQ(study.best.per_flow_drop.size(), 12U);
   EXPECT_EQ(study.worst.per_flow_drop.size(), 12U);
 }
 
-TEST_F(PlacementTest, PlacementVectorsAreBalanced) {
-  const PlacementStudy study = eval_.evaluate(combo(FlowType::kMon, FlowType::kFw));
+TEST(PlacementTest, PlacementVectorsAreBalanced) {
+  const PlacementStudy study = evaluate(combo(FlowType::kMon, FlowType::kFw));
   for (const auto* outcome : {&study.best, &study.worst}) {
     int socket0 = 0;
     for (const int s : outcome->socket_of_flow) socket0 += s == 0 ? 1 : 0;
@@ -49,10 +52,10 @@ TEST_F(PlacementTest, PlacementVectorsAreBalanced) {
   }
 }
 
-TEST_F(PlacementTest, SensitiveAggressiveMixPrefersSpreading) {
+TEST(PlacementTest, SensitiveAggressiveMixPrefersSpreading) {
   // For the paper's 6 MON + 6 FW combination, the worst placement packs all
   // MONs on one socket; the best spreads them (Section 5, Figure 10b).
-  const PlacementStudy study = eval_.evaluate(combo(FlowType::kMon, FlowType::kFw));
+  const PlacementStudy study = evaluate(combo(FlowType::kMon, FlowType::kFw));
   int worst_mon_socket0 = 0;
   for (int i = 0; i < 6; ++i) {
     worst_mon_socket0 += study.worst.socket_of_flow[static_cast<std::size_t>(i)] == 0 ? 1 : 0;

@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "common/fixtures.hpp"
-#include "core/predictor.hpp"
 
 namespace pp::core {
 namespace {
@@ -22,7 +21,6 @@ namespace {
 /// for `target` co-running with 5 FW competitors, everything at `f`.
 double prediction_error_pts(sim::SimFidelity f, FlowType target) {
   pp::test::ProfilerRig rig(f);
-  ContentionPredictor pred(rig.solo, rig.sweep);
 
   RunConfig cfg = rig.tb.configure({FlowSpec::of(target)});
   for (int i = 0; i < 5; ++i) {
@@ -30,10 +28,10 @@ double prediction_error_pts(sim::SimFidelity f, FlowType target) {
     cfg.placement.push_back(FlowPlacement{1 + i, -1});
   }
   const std::vector<FlowMetrics> corun = rig.tb.run(cfg);
-  const double actual = drop_pct(rig.solo.profile(target), corun[0]);
+  const double actual = drop_pct(rig.solo_profile(target), corun[0]);
   const double predicted =
-      pred.predict(target, {FlowType::kFw, FlowType::kFw, FlowType::kFw, FlowType::kFw,
-                            FlowType::kFw});
+      rig.predict(target, {FlowType::kFw, FlowType::kFw, FlowType::kFw, FlowType::kFw,
+                           FlowType::kFw});
   return predicted - actual;
 }
 
@@ -89,8 +87,7 @@ TEST(PredictionAccuracyRest, TiersAgreeOnPrediction) {
   for (const sim::SimFidelity f :
        {sim::SimFidelity::kExact, sim::SimFidelity::kSampled, sim::SimFidelity::kStreamed}) {
     pp::test::ProfilerRig rig(f);
-    ContentionPredictor pred(rig.solo, rig.sweep);
-    const double p = pred.predict(FlowType::kMon, comps);
+    const double p = rig.predict(FlowType::kMon, comps);
     if (f == sim::SimFidelity::kExact) {
       exact_pred = p;
     } else {

@@ -72,13 +72,13 @@ TEST(ProfileStore, SingleFlightDedupUnderParallelFor) {
   }
 }
 
-TEST(ProfileStore, GetOrRunManyDedupesDuplicates) {
+TEST(ProfileStore, RunBatchDedupesDuplicates) {
   ProfileStore store;
   const std::vector<Scenario> jobs = {tiny_scenario(sim::SimFidelity::kExact, 1),
                                       tiny_scenario(sim::SimFidelity::kExact, 2),
                                       tiny_scenario(sim::SimFidelity::kExact, 1),
                                       tiny_scenario(sim::SimFidelity::kExact, 2)};
-  const auto results = store.get_or_run_many(jobs, 4);
+  const auto results = ProfileStore::results_or_throw(store.run_batch(jobs, 4));
   EXPECT_EQ(store.stats().simulated, 2U);
   ASSERT_EQ(results.size(), 4U);
   EXPECT_EQ(results[0].get(), results[2].get());

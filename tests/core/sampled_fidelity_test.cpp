@@ -19,9 +19,10 @@ Testbed sampled_testbed() { return pp::test::quick_testbed(sim::SimFidelity::kSa
 TEST(SampledFidelity, DefaultIsExact) {
   sim::MachineConfig cfg;
   EXPECT_EQ(cfg.fidelity, sim::SimFidelity::kExact);
-  // Without SIM_FIDELITY in the environment the testbed stays exact too.
+  // A Testbed reads no environment: it starts exact whatever SIM_FIDELITY
+  // says (api::make_testbed applies a session's fidelity).
   Testbed tb(Scale::kQuick, 1);
-  EXPECT_EQ(tb.machine_config().fidelity, fidelity_from_env());
+  EXPECT_EQ(tb.machine_config().fidelity, sim::SimFidelity::kExact);
 }
 
 TEST(SampledFidelity, SoloRunIsDeterministicUnderFixedSeed) {
@@ -65,12 +66,10 @@ TEST(SampledFidelity, Figure4ShapeWithinTolerance) {
   const std::vector<SynParams> levels = {{1, 3000, 12}, {8, 100, 12}, {32, 0, 12}};
 
   pp::test::ProfilerRig exact_rig;
-  const SweepResult exact =
-      exact_rig.sweep.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
+  const SweepResult exact = exact_rig.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels);
 
   pp::test::ProfilerRig samp_rig(sim::SimFidelity::kSampled);
-  const SweepResult samp =
-      samp_rig.sweep.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
+  const SweepResult samp = samp_rig.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels);
 
   ASSERT_EQ(exact.levels.size(), samp.levels.size());
   for (std::size_t i = 0; i < exact.levels.size(); ++i) {

@@ -280,13 +280,13 @@ TEST(StoreFault, InjectedScenarioFaultThrowsAndReleasesTheKey) {
   EXPECT_FALSE(r->empty());
 }
 
-TEST(StoreFault, GetOrRunManyRethrowsLowestIndexError) {
+TEST(StoreFault, RunBatchResultsRethrowLowestIndexError) {
   InjectedFault f("scenario.run:fail@1.0");  // every run fails
   ProfileStore store;
   const std::vector<Scenario> jobs = {tiny_scenario(1), tiny_scenario(2), tiny_scenario(3)};
   for (int threads : {1, 3}) {
     try {
-      (void)store.get_or_run_many(jobs, threads);
+      (void)ProfileStore::results_or_throw(store.run_batch(jobs, threads));
       FAIL() << "all-failing batch must throw (threads=" << threads << ")";
     } catch (const StatusError& e) {
       EXPECT_EQ(e.status().kind, StatusKind::kFaultInjected);

@@ -1,5 +1,5 @@
 // ProfileStore single-flight machinery under real contention: many host
-// threads hammering get_or_run / get_or_run_many on overlapping key sets,
+// threads hammering get_or_run / run_batch on overlapping key sets,
 // including the failure path (waiters rethrowing the runner's exception_ptr
 // and the key being released for retry). The assertions lock the dedup
 // accounting (simulated == distinct keys, identical shared_ptr for every
@@ -86,7 +86,7 @@ TEST(StoreStressTest, ManyThreadsOnFewKeysCoalesceToOneRunEach) {
       << "every call is accounted exactly once";
 }
 
-TEST(StoreStressTest, GetOrRunManyDuplicateHeavyListAcrossThreadCounts) {
+TEST(StoreStressTest, RunBatchDuplicateHeavyListAcrossThreadCounts) {
   // One duplicate-heavy list, fanned out at several host-thread counts from
   // the same warm store: the first fan-out simulates each distinct key once,
   // later ones are pure memory hits, and the result bits are identical
@@ -99,12 +99,12 @@ TEST(StoreStressTest, GetOrRunManyDuplicateHeavyListAcrossThreadCounts) {
 
   ProfileStore store;
   const std::vector<std::shared_ptr<const ScenarioResult>> first =
-      store.get_or_run_many(list, 8);
+      ProfileStore::results_or_throw(store.run_batch(list, 8));
   ASSERT_EQ(first.size(), list.size());
   EXPECT_EQ(store.stats().simulated, static_cast<std::uint64_t>(kDistinct));
 
   for (const int threads : {1, 3, 8}) {
-    const auto again = store.get_or_run_many(list, threads);
+    const auto again = ProfileStore::results_or_throw(store.run_batch(list, threads));
     ASSERT_EQ(again.size(), list.size());
     for (std::size_t i = 0; i < list.size(); ++i) {
       ASSERT_NE(again[i], nullptr);
@@ -162,9 +162,9 @@ TEST(StoreStressTest, FailingRunWakesAllWaitersAndReleasesKeyForRetry) {
 }
 
 TEST(StoreStressTest, ManyMixedSuccessAndFailureRethrowsLowestIndexError) {
-  // get_or_run_many's contract under contention: every job completes even
-  // when some fail, and the error that surfaces is the lowest-index one —
-  // independent of the host thread count.
+  // run_batch + results_or_throw under contention: every job completes
+  // even when some fail, and the error that surfaces is the lowest-index
+  // one — independent of the host thread count.
   std::vector<Scenario> list;
   list.push_back(tiny_scenario(400));
   list.push_back(doomed_scenario(401));  // lowest-index failure
@@ -175,7 +175,7 @@ TEST(StoreStressTest, ManyMixedSuccessAndFailureRethrowsLowestIndexError) {
   for (const int threads : {1, 4}) {
     ProfileStore store;
     try {
-      (void)store.get_or_run_many(list, threads);
+      (void)ProfileStore::results_or_throw(store.run_batch(list, threads));
       ADD_FAILURE() << "mixed list must throw (threads=" << threads << ")";
     } catch (const StatusError& e) {
       EXPECT_EQ(e.status().kind, StatusKind::kBudgetExceeded);

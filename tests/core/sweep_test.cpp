@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fixtures.hpp"
+
 namespace pp::core {
 namespace {
 
@@ -65,11 +67,9 @@ TEST(ContentionMode, Names) {
 // One real (tiny) sweep: drop should grow with competition and the curve
 // should cover a widening refs/sec range. Uses minimal windows to stay fast.
 TEST(SweepProfiler, DropGrowsWithCompetition) {
-  Testbed tb(Scale::kQuick, 1);
-  SoloProfiler solo(tb, 1);
-  SweepProfiler sweep(solo, 5);
+  pp::test::ProfilerRig rig(sim::SimFidelity::kExact, 1, 5);
   const std::vector<SynParams> levels = {{1, 4000, 12}, {32, 0, 12}};
-  const SweepResult r = sweep.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
+  const SweepResult r = rig.sweep_of(FlowType::kMon, ContentionMode::kBoth, levels);
   ASSERT_EQ(r.levels.size(), 2U);
   EXPECT_LT(r.levels[0].competing_refs_per_sec, r.levels[1].competing_refs_per_sec);
   EXPECT_LT(r.levels[0].drop_pct, r.levels[1].drop_pct);
@@ -78,11 +78,8 @@ TEST(SweepProfiler, DropGrowsWithCompetition) {
 }
 
 TEST(SweepProfiler, CacheOnlyPlacementKeepsCompetitorDataRemote) {
-  Testbed tb(Scale::kQuick, 1);
-  SoloProfiler solo(tb, 1);
-  SweepProfiler sweep(solo, 2);
-  const SweepResult r =
-      sweep.sweep(FlowSpec::of(FlowType::kFw), ContentionMode::kCacheOnly, {{8, 100, 12}});
+  pp::test::ProfilerRig rig(sim::SimFidelity::kExact, 1, 2);
+  const SweepResult r = rig.sweep_of(FlowType::kFw, ContentionMode::kCacheOnly, {{8, 100, 12}});
   ASSERT_EQ(r.levels.size(), 1U);
   // The run completed and produced a finite drop measurement.
   EXPECT_GT(r.levels[0].competing_refs_per_sec, 0.0);

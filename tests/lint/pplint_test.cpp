@@ -92,6 +92,24 @@ TEST(PplintRules, FaultSiteFixtureTripsOnUnregisteredLiteralsOnly) {
   EXPECT_NE(diags[1].message.find("store.also_not_registered"), std::string::npos);
 }
 
+TEST(PplintRules, LayeringFixtureTripsBelowApiOnly) {
+  const std::string text = fixture("layering_violation.snippet");
+  const auto diags = lint_text("src/core/example.cpp", text, real_sites());
+  ASSERT_EQ(diags.size(), 2u) << "the quoted and the angled include; not the comment or literal";
+  EXPECT_EQ(diags[0].rule, "layering");
+  EXPECT_EQ(diags[0].line, 5);
+  EXPECT_EQ(diags[1].line, 6);
+  for (const char* layer : {"base", "sim", "model", "net", "click", "apps", "core"}) {
+    EXPECT_EQ(lint_text(std::string("src/") + layer + "/example.cpp", text, real_sites()).size(),
+              2u)
+        << layer;
+  }
+  // Scope: api/ itself and the binaries above it may include api/.
+  EXPECT_TRUE(lint_text("src/api/example.cpp", text, real_sites()).empty());
+  EXPECT_TRUE(lint_text("bench/example.cpp", text, real_sites()).empty());
+  EXPECT_TRUE(lint_text("tools/example.cpp", text, real_sites()).empty());
+}
+
 TEST(PplintRules, SuppressionSilencesAndStaleAllowTrips) {
   const std::string suppressed =
       "#include <cstdlib>\n"

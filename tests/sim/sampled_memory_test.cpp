@@ -118,8 +118,12 @@ TEST(SampledMemory, ModeledOutcomesAreSane) {
     const int levels = d.l1_hit + d.l2_hit + (d.l3_ref - d.l3_miss) + d.l3_miss;
     ASSERT_EQ(levels, 1);
     ASSERT_EQ(d.l1_hit + d.l1_miss, 1);
-    if (d.l3_ref != 0) ASSERT_EQ(d.l2_miss, 1);
-    if (d.l1_hit != 0) ASSERT_EQ(o.latency, 0U);
+    if (d.l3_ref != 0) {
+      ASSERT_EQ(d.l2_miss, 1);
+    }
+    if (d.l1_hit != 0) {
+      ASSERT_EQ(o.latency, 0U);
+    }
 
     // Immediate repeat: guaranteed L1 hit (modeled MRU).
     const MemorySystem::Outcome r = ms.access(0, addr_of_line(line), AccessType::kRead, now);

@@ -277,6 +277,34 @@ std::vector<Diagnostic> check_fault_sites(const std::string& file, const std::st
   return out;
 }
 
+std::vector<Diagnostic> check_layering(const std::string& file, const std::string& text) {
+  static const char* kLowerLayers[] = {"src/base/", "src/sim/",  "src/model/", "src/net/",
+                                       "src/click/", "src/apps/", "src/core/"};
+  if (std::none_of(std::begin(kLowerLayers), std::end(kLowerLayers),
+                   [&](const char* dir) { return starts_with(file, dir); })) {
+    return {};
+  }
+  // Comments blanked, literals kept: the include path IS a literal.
+  std::vector<Diagnostic> out;
+  const std::vector<std::string> lines = to_lines(strip_comments(text, /*strip_strings=*/false));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& l = lines[i];
+    std::size_t p = l.find_first_not_of(" \t");
+    if (p == std::string::npos || l[p] != '#') continue;
+    p = l.find_first_not_of(" \t", p + 1);
+    if (p == std::string::npos || l.compare(p, 7, "include") != 0) continue;
+    p = l.find_first_not_of(" \t", p + 7);
+    if (p == std::string::npos || (l[p] != '"' && l[p] != '<') ||
+        l.compare(p + 1, 4, "api/") != 0) {
+      continue;
+    }
+    out.push_back({file, static_cast<int>(i) + 1, "layering",
+                   "a layer below api/ includes api/ — take the value as a parameter; "
+                   "api::SessionOptions is applied from above (api::make_testbed)"});
+  }
+  return out;
+}
+
 std::vector<Diagnostic> lint_text(const std::string& file, const std::string& text,
                                   const std::unordered_set<std::string>& known_sites) {
   std::vector<Diagnostic> all;
@@ -284,6 +312,7 @@ std::vector<Diagnostic> lint_text(const std::string& file, const std::string& te
   for (auto&& d : check_nondeterminism(file, text)) all.push_back(std::move(d));
   for (auto&& d : check_noabort(file, text)) all.push_back(std::move(d));
   for (auto&& d : check_fault_sites(file, text, known_sites)) all.push_back(std::move(d));
+  for (auto&& d : check_layering(file, text)) all.push_back(std::move(d));
 
   // Apply suppressions, then flag the stale ones: an allow that matches no
   // diagnostic on its line is a rotted marker (or a typo'd rule name) and

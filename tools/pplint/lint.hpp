@@ -1,7 +1,8 @@
 // pplint — the repo-invariant linter (docs/static_analysis.md).
 //
 // The platform's determinism contracts are conventions a compiler cannot
-// check: every environment read goes through SessionOptions::from_env, the
+// check: every environment read goes through SessionOptions::from_env, no
+// layer below api/ includes it, the
 // simulation layers never touch a wall clock or a PRNG the scenario seed
 // does not control, the serve/session error-isolation paths never abort,
 // every fault-injection literal names a registered site, and every public
@@ -68,6 +69,14 @@ struct Diagnostic {
 [[nodiscard]] std::vector<Diagnostic> check_fault_sites(
     const std::string& file, const std::string& text,
     const std::unordered_set<std::string>& known_sites);
+
+/// Rule "layering": an `#include "api/..."` (or `<api/...>`) below the api/
+/// layer. api/ is the top of the library: it reads the environment and
+/// applies SessionOptions to the layers below, which take explicit values
+/// and must never reach back up. Scope: src/{base,sim,model,net,click,apps,
+/// core}/**.
+[[nodiscard]] std::vector<Diagnostic> check_layering(const std::string& file,
+                                                     const std::string& text);
 
 /// Rule "allow": an `pplint: allow(<rule>)` marker whose rule never fires on
 /// that line (stale suppression, or a typo'd rule name). Produced by
